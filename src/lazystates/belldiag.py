@@ -11,7 +11,6 @@ fractions and emits plotting-ready CSV slices.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +147,9 @@ def bd_census(
     if workers <= 1:
         results = map(_work, blocks)
     else:
+        # imported here: only --workers pays for loading concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_work, blocks))
     for block_counts, block_boundary in results:

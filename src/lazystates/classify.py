@@ -30,6 +30,7 @@ from .matcore import (
     partial_trace_a,
     partial_trace_b,
     partial_transpose_b,
+    qubit_spectrum,
     swap_subsystems,
 )
 
@@ -180,8 +181,7 @@ def pure_schmidt(rho, tol: float = DEFAULT_TOL):
     purity = float(np.einsum("ij,ji->", rho, rho).real)
     if purity < 1.0 - tol:
         return False, None, None
-    w, _ = herm_eig(partial_trace_b(rho))
-    w = np.clip(w, 0.0, None)
+    w = np.clip(qubit_spectrum(partial_trace_b(rho)), 0.0, None)
     coeffs = np.sqrt(w[::-1])
     lazy = bool(w[0] <= tol or (abs(w[0] - 0.5) <= tol and abs(w[1] - 0.5) <= tol))
     return True, coeffs, lazy

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -52,9 +53,16 @@ def _lambda_triple(text):
         lam = [float(p) for p in parts]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if any(abs(v) > 1.0 for v in lam):
+    if not all(-1.0 <= v <= 1.0 for v in lam):
         raise argparse.ArgumentTypeError("lambda components must lie in [-1, 1]")
     return lam
+
+
+def _positive_tol(text):
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be a finite number > 0")
+    return value
 
 
 def _positive_int(text):
@@ -224,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify a state file")
     p.add_argument("state", help="path to a JSON state file")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_positive_tol, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("normal-form", help="local normal form of a state file")
@@ -236,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q = bd_sub.add_parser("classify", help="region label of a cube point")
     q.add_argument("--lambda", dest="lam", type=_lambda_triple, required=True,
                    metavar="L1,L2,L3")
-    q.add_argument("--tol", type=float, default=1e-9)
+    q.add_argument("--tol", type=_positive_tol, default=1e-9)
     q.set_defaults(func=_cmd_bd)
     q = bd_sub.add_parser("census", help="Monte Carlo region census (CSV)")
     q.add_argument("--samples", type=_positive_int, required=True)
@@ -271,8 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hamiltonians", type=_positive_int, default=20)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--step", type=_step_size, default=DEFAULT_STEP)
-    p.add_argument("--rate-tol", type=float, default=RATE_TOL_ZERO)
-    p.add_argument("--nonzero-tol", type=float, default=RATE_TOL_NONZERO)
+    p.add_argument("--rate-tol", type=_positive_tol, default=RATE_TOL_ZERO)
+    p.add_argument("--nonzero-tol", type=_positive_tol, default=RATE_TOL_NONZERO)
     p.set_defaults(func=_cmd_dynamics_check)
 
     return parser

@@ -16,7 +16,7 @@ import numpy as np
 
 from .classify import classify
 from .fano import validate
-from .matcore import frob_norm, herm_eig, hermiticity_residual, partial_trace_b
+from .matcore import herm_eig, herm_exp, partial_trace_b, qubit_spectrum
 
 DEFAULT_STEP = 1e-4
 RATE_TOL_ZERO = 1e-6
@@ -33,7 +33,6 @@ _ENTROPY_CLAMP = 1e-12
 @dataclass(frozen=True)
 class CouplingHamiltonian:
     h: np.ndarray
-    norm_scale: float
     seed: int | None = None
 
 
@@ -63,7 +62,7 @@ def random_hamiltonian(seed: int) -> CouplingHamiltonian:
     h = (g + g.conj().T) / 2.0
     w, _ = herm_eig(h)
     spectral = max(abs(float(w[0])), abs(float(w[-1])))
-    return CouplingHamiltonian(h=h / spectral, norm_scale=1.0, seed=seed)
+    return CouplingHamiltonian(h=h / spectral, seed=seed)
 
 
 def _coupling_matrix(h):
@@ -86,11 +85,7 @@ def _require_physical(rho, who):
 def evolve(rho, h, t: float):
     """Conjugate rho by e^{-iht}; trace and spectrum are preserved."""
     rho = _require_physical(rho, "evolve")
-    hm = _coupling_matrix(h)
-    if hermiticity_residual(hm) > 1e-12 * max(1.0, frob_norm(hm)):
-        raise ValueError("evolve: coupling Hamiltonian is not Hermitian")
-    w, v = herm_eig(hm)
-    u = (v * np.exp(-1j * w * t)) @ v.conj().T
+    u = herm_exp(_coupling_matrix(h), t)
     return u @ rho @ u.conj().T
 
 
@@ -101,7 +96,7 @@ def entropy_a(rho) -> float:
 
 
 def _entropy2(marginal) -> float:
-    w, _ = herm_eig(marginal)
+    w = qubit_spectrum(marginal)
     w = w[w > _ENTROPY_CLAMP]
     return float(-(w * np.log2(w)).sum())
 

@@ -57,7 +57,7 @@ def check_lazy_discordant(q: LazyDiscordantParams) -> None:
             f"(got lambda2={q.lambda2}, lambda3={q.lambda3})"
         )
     bound = q.y1**2 + (q.lambda3 + q.lambda2) ** 2
-    if bound > 1.0:
+    if not bound <= 1.0:  # also rejects a NaN y1
         raise ValueError(
             "positivity bound violated: y1^2 + (lambda3 + lambda2)^2 = "
             f"{bound:.6g} > 1"

@@ -1,10 +1,12 @@
 """Dense complex-matrix kernels for 2-qubit states.
 
 Everything here works on plain numpy arrays (complex128 for operators,
-float64 for the real 3x3 correlation blocks).  The eigen- and singular-value
-solvers are fixed-size Jacobi iterations: the matrices never exceed 4x4, so
-no external solver is needed and the results are bit-deterministic for a
-given input.
+float64 for the real 3x3 correlation blocks).  Hermitian eigenproblems go to
+LAPACK through numpy's eigh, except qubit marginals, whose spectrum has a
+closed form.  The one hand-written solver left is svd3, a one-sided Jacobi
+SVD kept for the local normal form: LAPACK's choice of singular vectors for
+repeated singular values depends on the build, and normal-form output pins
+those vectors.  Both solvers raise ValueError on non-finite input.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
-# Jacobi sweeps converge quadratically; 4x4 inputs need ~5 sweeps, the large
+# Jacobi sweeps converge quadratically; 3x3 inputs need ~5 sweeps, the large
 # limit only guards against a genuinely broken input.
 _SWEEP_LIMIT = 60
 
@@ -81,68 +83,39 @@ def swap_subsystems(m):
     return m[np.ix_(perm, perm)]
 
 
+def _require_finite(m, who):
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{who}: input has non-finite entries")
+
+
 def herm_eig(m, tol: float = 1e-12):
-    """Eigendecomposition of a Hermitian matrix by cyclic complex Jacobi.
+    """Eigendecomposition of a Hermitian matrix by LAPACK (numpy eigh).
 
-    Returns (w, v) with w real ascending and m = v @ diag(w) @ v† to about
-    1e-14 relative accuracy.  Equal eigenvalues are ordered by the
-    lexicographic order of the phase-fixed eigenvectors, so the output is
-    deterministic for a given input.
+    Returns (w, v) with w real ascending and m = v @ diag(w) @ v†.
 
-    Raises ValueError when m is not Hermitian within tol * max(1, ||m||_F).
+    Raises ValueError when m has a non-finite entry or is not Hermitian
+    within tol * max(1, ||m||_F).
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    n = m.shape[0]
-    scale = frob_norm(m)
-    if hermiticity_residual(m) > tol * max(1.0, scale):
+    _require_finite(m, "herm_eig")
+    if not is_hermitian(m, tol):
         raise ValueError("herm_eig: input is not Hermitian within tolerance")
+    return np.linalg.eigh(m)
 
-    a = (m + m.conj().T) / 2.0
-    v = np.eye(n, dtype=complex)
-    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
-    off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(_SWEEP_LIMIT):
-        if np.linalg.norm(a[off_mask]) <= 1e-14 * scale:
-            break
-        for p, q in pairs:
-            apq = a[p, q]
-            r = abs(apq)
-            if r == 0.0:
-                continue
-            phase = apq / r
-            tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-            if tau == 0.0:
-                t = 1.0
-            else:
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            w = (t * c) * phase
-            g = np.eye(n, dtype=complex)
-            g[p, p] = c
-            g[p, q] = w
-            g[q, p] = -w.conjugate()
-            g[q, q] = c
-            a = g.conj().T @ a @ g
-            v = v @ g
-    else:
-        raise RuntimeError("herm_eig: Jacobi sweeps did not converge")
 
-    w = np.real(np.diag(a)).copy()
-    # fix each eigenvector's global phase: largest-magnitude entry real positive
-    for k in range(n):
-        idx = int(np.argmax(np.abs(v[:, k])))
-        piv = v[idx, k]
-        if abs(piv) > 0.0:
-            v[:, k] = v[:, k] * (piv.conjugate() / abs(piv))
+def qubit_spectrum(m):
+    """Eigenvalues ((1 - |x|)/2, (1 + |x|)/2) of a qubit state m = (I + x.s)/2.
 
-    def _key(k):
-        col = v[:, k]
-        return (w[k],) + tuple(u for c in col for u in (c.real, c.imag))
-
-    order = sorted(range(n), key=_key)
-    return w[order], v[:, order]
+    The closed form needs no eigensolve and gives exactly (1/2, 1/2) when
+    the Bloch vector x rounds to zero, so entropies of nearly maximally mixed
+    marginals do not pick up solver noise.  m must be Hermitian with unit
+    trace; only m[0, 1] and the diagonal are read.
+    """
+    m = np.asarray(m, dtype=complex)
+    r = math.hypot(float((m[0, 0] - m[1, 1]).real), 2.0 * abs(m[0, 1]))
+    return np.array([(1.0 - r) / 2.0, (1.0 + r) / 2.0])
 
 
 def svd3(t):
@@ -156,6 +129,7 @@ def svd3(t):
     w = np.array(t, dtype=float)
     if w.shape != (3, 3):
         raise ValueError(f"expected a 3x3 real matrix, got shape {w.shape}")
+    _require_finite(w, "svd3")
     v = np.eye(3)
     # absolute floor anchored to the input scale, or the parallel leftovers
     # of a rank-deficient input cascade through denormals forever
@@ -221,6 +195,6 @@ def det3(m) -> float:
 
 
 def herm_exp(h, t: float):
-    """Unitary e^{-i h t} of a Hermitian h, via the Jacobi eigendecomposition."""
+    """Unitary e^{-i h t} of a Hermitian h, via its eigendecomposition."""
     w, v = herm_eig(h)
     return (v * np.exp(-1j * w * t)) @ v.conj().T

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .belldiag import bd_spectrum
-from .families import LazyDiscordantParams, SeparableFamilyParams
-from .matcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, kron
+from .families import LazyDiscordantParams, SeparableFamilyParams, _qubit
+from .matcore import kron
 
 
 def ginibre_state(rng: np.random.Generator):
@@ -33,10 +33,6 @@ def haar_unitary(rng: np.random.Generator, n: int = 2):
 def random_local_unitary(rng: np.random.Generator):
     """U_A @ U_B for independent Haar single-qubit unitaries."""
     return kron(haar_unitary(rng), haar_unitary(rng))
-
-
-def _qubit(bloch):
-    return (I2 + bloch[0] * SIGMA_X + bloch[1] * SIGMA_Y + bloch[2] * SIGMA_Z) / 2.0
 
 
 def random_product_state(rng: np.random.Generator, max_bloch: float = 0.8):

@@ -6,8 +6,9 @@ A state file holds exactly one of two keys:
     {"fano": {"x": [3 reals], "y": [3 reals], "T": [[3x3 reals]]}}
 
 The matrix form is entry-by-entry [re, im] pairs so fixtures stay hand
-auditable.  Structural problems raise StateFileError (a parse failure);
-whether the parsed state is physical is the caller's concern.
+auditable.  Structural problems and non-finite numbers raise StateFileError
+(a parse failure); whether the parsed state is physical is the caller's
+concern.
 """
 
 from __future__ import annotations
@@ -31,7 +32,14 @@ def _real_array(node, shape, what):
     flat = arr.reshape(-1)
     if not all(isinstance(v, Real) and not isinstance(v, bool) for v in flat):
         raise StateFileError(f"{what} must contain only real numbers")
-    return np.asarray(node, dtype=float)
+    try:
+        arr = np.asarray(node, dtype=float)
+        finite = bool(np.all(np.isfinite(arr)))
+    except OverflowError:  # a JSON integer beyond the float range
+        finite = False
+    if not finite:
+        raise StateFileError(f"{what} must contain only finite numbers")
+    return arr
 
 
 def state_from_dict(doc) -> np.ndarray:

@@ -93,6 +93,10 @@ def test_exit_2_parse_errors():
     assert run_cli("classify", str(FIXTURES / "not_json.json")).returncode == 2
     assert run_cli("classify", str(FIXTURES / "malformed.json")).returncode == 2
     assert run_cli("classify", str(FIXTURES / "does_not_exist.json")).returncode == 2
+    for name in ("nan_matrix.json", "inf_fano.json", "huge_int_fano.json"):
+        result = run_cli("classify", str(FIXTURES / name))
+        assert result.returncode == 2
+        assert result.stderr.strip().endswith("must contain only finite numbers")
 
 
 def test_exit_2_usage_errors():
@@ -103,7 +107,14 @@ def test_exit_2_usage_errors():
     assert run_cli("bd", "census", "--samples", "10", "--seed", "-1").returncode == 2
     assert run_cli("bd", "classify", "--lambda", "0,0").returncode == 2
     assert run_cli("bd", "classify", "--lambda", "0,0,1.5").returncode == 2
-    assert run_cli("dynamics-check", str(FIXTURES / "bell.json"), "--step", "0.01").returncode == 2
+    assert run_cli("bd", "classify", "--lambda", "nan,0,0").returncode == 2
+    assert run_cli("bd", "classify", "--lambda", "0,0,0", "--tol", "nan").returncode == 2
+    bell = str(FIXTURES / "bell.json")
+    assert run_cli("dynamics-check", bell, "--step", "0.01").returncode == 2
+    for bad in ("nan", "-1", "0", "inf"):
+        assert run_cli("classify", bell, "--tol", bad).returncode == 2
+    assert run_cli("dynamics-check", bell, "--rate-tol", "nan").returncode == 2
+    assert run_cli("dynamics-check", bell, "--nonzero-tol", "-1").returncode == 2
     assert run_cli("nonsense-command").returncode == 2
 
 
@@ -113,6 +124,10 @@ def test_exit_1_family_invariant_violation():
     )
     assert result.returncode == 1
     assert "y1^2 + (lambda3 + lambda2)^2" in result.stderr
+    result = run_cli(
+        "family", "lazy-discordant", "--y1", "nan", "--l2", "0.3", "--l3", "0.4"
+    )
+    assert result.returncode == 1 and result.stdout == ""
 
 
 def test_exit_3_dynamics_inconsistency():

@@ -27,7 +27,6 @@ def test_random_hamiltonian_reproducible_and_hermitian():
     assert hermiticity_residual(h1.h) <= 1e-15
     w, _ = herm_eig(h1.h)
     assert abs(max(abs(w[0]), abs(w[-1])) - 1.0) <= 1e-12
-    assert h1.norm_scale == 1.0
     assert h1.seed == 42
 
 

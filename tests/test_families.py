@@ -42,6 +42,7 @@ def test_lazy_discordant_valid_state():
         (LazyDiscordantParams(0.0, 0.5, 0.5), "lambda2 < lambda3"),
         (LazyDiscordantParams(0.0, 0.0, 0.4), "0 < lambda2"),
         (LazyDiscordantParams(0.9, 0.3, 0.4), "positivity"),
+        (LazyDiscordantParams(float("nan"), 0.3, 0.4), "positivity"),
     ],
 )
 def test_lazy_discordant_rejections(params, fragment):

@@ -15,6 +15,7 @@ from lazystates.matcore import (
     partial_trace_a,
     partial_trace_b,
     partial_transpose_b,
+    qubit_spectrum,
     svd3,
     swap_subsystems,
 )
@@ -118,6 +119,30 @@ def test_herm_eig_two_by_two():
 def test_herm_eig_rejects_non_hermitian():
     with pytest.raises(ValueError):
         herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kernels_reject_non_finite(bad):
+    m = np.eye(4, dtype=complex)
+    m[1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        herm_eig(m)
+    t = np.eye(3)
+    t[0, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        svd3(t)
+
+
+def test_qubit_spectrum_matches_reference_1000_random():
+    rng = np.random.default_rng(47)
+    for k in range(1000):
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        if k % 10 == 0:
+            g[:, 1] = 0.0  # pure states: the (1 - |x|)/2 end sits at 0
+        m = g @ g.conj().T
+        m /= np.trace(m).real
+        assert np.max(np.abs(qubit_spectrum(m) - np.linalg.eigvalsh(m))) <= 1e-14
+    assert np.array_equal(qubit_spectrum(I2 / 2), [0.5, 0.5])
 
 
 def test_herm_eig_deterministic():
