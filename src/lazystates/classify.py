@@ -3,11 +3,14 @@
 A state is "lazy" (with respect to the first qubit) when the marginal
 commutes with the joint state, [rho, rho_A @ I] = 0; equivalently, when the
 Bloch vector x is parallel to every column of the correlation matrix T.
-Both routes are computed and must agree, which keeps the equivalence under
-continuous test.  Zero discord is decided by a candidate measurement
-direction from the normal form, then verified exactly by the projective
-pinch identity.  Separability is decided by positivity of the partial
-transpose, which is exact for two qubits.
+Both routes measure one number, ||[rho, rho_A @ I]||_F = 0.5 * sqrt(sum_j
+|x cross T[:,j]|^2), from the matrices and from the Bloch parameters; they
+must agree to rounding, which keeps the equivalence under continuous test.
+Physicality is decided once, by fano.validate at the caller's tolerance,
+and the predicates then see the state's Hermitian part.  Zero discord is
+decided by a candidate measurement direction from the normal form, then
+verified exactly by the projective pinch identity.  Separability is
+decided by positivity of the partial transpose, exact for two qubits.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fano import FanoParams, PhysicalityReport, compose, decompose, normal_form, validate
+from .fano import FanoParams, certify, compose, decompose, normal_form, validate
 from .matcore import (
     I2,
     SIGMA_X,
@@ -36,10 +39,9 @@ from .matcore import (
 
 DEFAULT_TOL = 1e-9
 
-# verdict-disagreement band: both witnesses within a decade of the threshold
-# counts as a boundary case, anything else is an internal error
-_GRAY_LO = 0.1
-_GRAY_HI = 10.0
+# the two laziness routes compute one number along different rounding paths;
+# they differ by ~1e-16 on physical states, whatever the tolerance
+_ROUTE_AGREEMENT = 1e-12
 
 WITNESS_KEYS = (
     "commutator_norm",
@@ -77,33 +79,20 @@ def lazy_by_commutator(rho, tol: float = DEFAULT_TOL):
 
     Returns (verdict, commutator_norm).  Raises ValueError on unphysical input.
     """
-    rho = np.asarray(rho, dtype=complex)
-    rep = validate(rho, tol)
-    if not rep.physical:
-        raise ValueError(
-            "lazy_by_commutator: unphysical state "
-            f"(min eigenvalue {rep.min_eigenvalue:.3e}, "
-            f"trace deviation {rep.trace_deviation:.3e})"
-        )
-    norm = _commutator_witness(rho)
+    norm = _commutator_witness(certify(rho, "lazy_by_commutator", tol))
     return norm <= tol, norm
 
 
 def lazy_by_parallelism(p: FanoParams, tol: float = DEFAULT_TOL):
     """Laziness as x parallel to every column of t.
 
-    The residual is max_j ||x cross t[:,j]|| / max(1, |x| * |t[:,j]|); a zero
-    x or a zero column contributes nothing (parallelism holds vacuously).
+    The residual is 0.5 * sqrt(sum_j ||x cross t[:,j]||^2), the closed form
+    of the commutator norm ||[rho, rho_A @ I]||_F, so both routes compare
+    one number against the same absolute tol.  A zero x or a zero column
+    contributes nothing (parallelism holds vacuously).
     Returns (verdict, residual).
     """
-    x = p.x
-    xn = float(np.linalg.norm(x))
-    residual = 0.0
-    for j in range(3):
-        col = p.t[:, j]
-        cross = np.cross(x, col)
-        denom = max(1.0, xn * float(np.linalg.norm(col)))
-        residual = max(residual, float(np.linalg.norm(cross)) / denom)
+    residual = 0.5 * frob_norm(np.cross(p.x, p.t.T))
     return residual <= tol, residual
 
 
@@ -164,7 +153,7 @@ def separable_ppt(rho, tol: float = DEFAULT_TOL):
     summed magnitude of the negative partial-transpose eigenvalues.
     """
     w, _ = herm_eig(partial_transpose_b(np.asarray(rho, dtype=complex)))
-    negativity = float(-w[w < 0.0].sum())
+    negativity = float(np.abs(w[w < 0.0]).sum())
     return float(w[0]) >= -tol, negativity, float(w[0])
 
 
@@ -190,11 +179,11 @@ def pure_schmidt(rho, tol: float = DEFAULT_TOL):
 def classify(rho, tol: float = DEFAULT_TOL) -> Classification:
     """Run every hierarchy predicate on one state.
 
-    Unphysical input yields physical=False with the other verdicts absent.
-    The lazy verdict requires the commutator and parallelism routes to agree;
-    when they straddle the threshold together the commutator (the defining
-    quantity) wins and the result is flagged, while a genuine disagreement
-    raises ConsistencyError.
+    Unphysical input (fano.validate at tol) yields physical=False with the
+    other verdicts absent.  The commutator and parallelism witnesses must
+    agree to rounding, or ConsistencyError is raised; the commutator (the
+    defining quantity) decides lazy_a, and lazy_gray_zone flags the rounding
+    case where the two witnesses fall on either side of tol.
     """
     rho = np.asarray(rho, dtype=complex)
     rep = validate(rho, tol)
@@ -215,22 +204,16 @@ def classify(rho, tol: float = DEFAULT_TOL) -> Classification:
             diagnostics=diagnostics,
         )
 
-    params = decompose(rho)
+    rho = (rho + rho.conj().T) / 2.0
+    params = decompose(rho, tol)
     comm_norm = _commutator_witness(rho)
-    lazy_c = comm_norm <= tol
     lazy_p, residual = lazy_by_parallelism(params, tol)
-    gray = False
-    if lazy_c != lazy_p:
-        in_band = (
-            _GRAY_LO * tol <= comm_norm <= _GRAY_HI * tol
-            and _GRAY_LO * tol <= residual <= _GRAY_HI * tol
+    if abs(comm_norm - residual) > _ROUTE_AGREEMENT * max(1.0, comm_norm):
+        raise ConsistencyError(
+            "laziness routes disagree: commutator norm "
+            f"{comm_norm:.3e}, parallelism residual {residual:.3e}"
         )
-        if not in_band:
-            raise ConsistencyError(
-                "laziness routes disagree: commutator norm "
-                f"{comm_norm:.3e}, parallelism residual {residual:.3e}"
-            )
-        gray = True
+    lazy_c = comm_norm <= tol
 
     zd, _ = zero_discord_a(params, tol)
     product, product_residual = is_product(rho, tol)
@@ -252,7 +235,7 @@ def classify(rho, tol: float = DEFAULT_TOL) -> Classification:
         separable=separable,
         witnesses=witnesses,
         diagnostics=diagnostics,
-        lazy_gray_zone=gray,
+        lazy_gray_zone=lazy_c != lazy_p,
     )
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import classify
-from .fano import validate
+from .classify import lazy_by_commutator
+from .fano import certify
 from .matcore import herm_eig, herm_exp, partial_trace_b, qubit_spectrum
 
 DEFAULT_STEP = 1e-4
@@ -71,27 +71,16 @@ def _coupling_matrix(h):
     return np.asarray(h, dtype=complex)
 
 
-def _require_physical(rho, who):
-    rho = np.asarray(rho, dtype=complex)
-    rep = validate(rho)
-    if not rep.physical:
-        raise ValueError(
-            f"{who}: unphysical state (min eigenvalue {rep.min_eigenvalue:.3e}, "
-            f"trace deviation {rep.trace_deviation:.3e})"
-        )
-    return rho
-
-
 def evolve(rho, h, t: float):
     """Conjugate rho by e^{-iht}; trace and spectrum are preserved."""
-    rho = _require_physical(rho, "evolve")
+    rho = certify(rho, "evolve")
     u = herm_exp(_coupling_matrix(h), t)
     return u @ rho @ u.conj().T
 
 
 def entropy_a(rho) -> float:
     """Base-2 von Neumann entropy of the first-qubit marginal."""
-    rho = _require_physical(rho, "entropy_a")
+    rho = certify(rho, "entropy_a")
     return _entropy2(partial_trace_b(rho))
 
 
@@ -109,7 +98,11 @@ def entropy_rate_at_zero(rho, h, step: float = DEFAULT_STEP) -> RateReport:
     marginal makes the derivative ill conditioned; the report then carries a
     caution flag.
     """
-    rho = _require_physical(rho, "entropy_rate_at_zero")
+    return _entropy_rate(certify(rho, "entropy_rate_at_zero"), h, step)
+
+
+def _entropy_rate(rho, h, step):
+    """entropy_rate_at_zero on a state the caller has already certified."""
     hm = _coupling_matrix(h)
     w, v = herm_eig(hm)
     spectral = max(abs(float(w[0])), abs(float(w[-1])))
@@ -158,19 +151,19 @@ def laziness_dynamics_check(
     max |rate| > nonzero_tol).  An inconsistent result whose commutator norm
     falls in COMM_GRAY_ZONE is a boundary case to log, not a failure.
     """
-    rho = _require_physical(rho, "laziness_dynamics_check")
-    cls = classify(rho)
+    # lazy_by_commutator is the check's one physicality gate
+    lazy, comm = lazy_by_commutator(rho)
+    rho = np.asarray(rho, dtype=complex)
     rates = tuple(
-        entropy_rate_at_zero(rho, random_hamiltonian(seed + k), step)
+        _entropy_rate(rho, random_hamiltonian(seed + k), step)
         for k in range(n_hamiltonians)
     )
     max_abs = max(abs(r.rate) for r in rates)
-    comm = cls.witnesses["commutator_norm"]
-    consistent, gray = _consistency(cls.lazy_a, max_abs, comm, rate_tol, nonzero_tol)
+    consistent, gray = _consistency(lazy, max_abs, comm, rate_tol, nonzero_tol)
     return DynamicsCheckReport(
         max_abs_rate=max_abs,
         rates=rates,
-        lazy=cls.lazy_a,
+        lazy=lazy,
         commutator_norm=comm,
         consistent=consistent,
         gray_zone=gray,

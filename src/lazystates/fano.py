@@ -75,18 +75,19 @@ class PhysicalityReport:
     min_eigenvalue: float
 
 
-def decompose(rho) -> FanoParams:
+def decompose(rho, tol: float = STATE_TOL) -> FanoParams:
     """Extract (x, y, T) from a Hermitian unit-trace 4x4 matrix.
 
     x_i = tr(rho s_i@I), y_j = tr(rho I@s_j), T_ij = tr(rho s_i@s_j).
+    Hermiticity and trace are checked at the same tolerances as validate.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    if hermiticity_residual(rho) > STATE_TOL * max(1.0, frob_norm(rho)):
-        raise ValueError("decompose: matrix is not Hermitian within 1e-9")
-    if abs(np.trace(rho) - 1.0) > STATE_TOL:
-        raise ValueError("decompose: matrix trace deviates from 1 beyond 1e-9")
+    if hermiticity_residual(rho) > tol * max(1.0, frob_norm(rho)):
+        raise ValueError(f"decompose: matrix is not Hermitian within {tol:g}")
+    if abs(np.trace(rho) - 1.0) > tol:
+        raise ValueError(f"decompose: matrix trace deviates from 1 beyond {tol:g}")
     coeffs = np.einsum("kab,ba->k", PAULI_BASIS, rho).real.reshape(4, 4)
     return FanoParams(x=coeffs[1:, 0], y=coeffs[0, 1:], t=coeffs[1:, 1:])
 
@@ -123,6 +124,22 @@ def validate(rho, tol: float = STATE_TOL) -> PhysicalityReport:
         trace_deviation=tdev,
         min_eigenvalue=min_eig,
     )
+
+
+def certify(rho, who: str, tol: float = STATE_TOL):
+    """The Hermitian part (rho + rho†)/2 of a state that validate passes.
+
+    Raises ValueError naming `who` when rho is unphysical at tol.  For an
+    exactly Hermitian rho the result is bit-identical to rho.
+    """
+    rep = validate(rho, tol)
+    if not rep.physical:
+        raise ValueError(
+            f"{who}: unphysical state (min eigenvalue {rep.min_eigenvalue:.3e}, "
+            f"trace deviation {rep.trace_deviation:.3e})"
+        )
+    rho = np.asarray(rho, dtype=complex)
+    return (rho + rho.conj().T) / 2.0
 
 
 def normal_form(p: FanoParams) -> NormalForm:

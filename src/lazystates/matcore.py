@@ -130,10 +130,15 @@ def svd3(t):
     if w.shape != (3, 3):
         raise ValueError(f"expected a 3x3 real matrix, got shape {w.shape}")
     _require_finite(w, "svd3")
+    with np.errstate(over="ignore"):
+        gram = float(np.sum(w * w))
+    # an overflowing Gram sum would turn the rotation angles into 0/0
+    if not math.isfinite(gram):
+        raise ValueError("svd3: input too large, its squared norm overflows")
     v = np.eye(3)
     # absolute floor anchored to the input scale, or the parallel leftovers
     # of a rank-deficient input cascade through denormals forever
-    gram_floor = 1e-28 * float(np.sum(w * w))
+    gram_floor = 1e-28 * gram
     for _ in range(_SWEEP_LIMIT):
         converged = True
         for i, j in ((0, 1), (0, 2), (1, 2)):

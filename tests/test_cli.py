@@ -89,6 +89,18 @@ def test_exit_1_unphysical_trace():
     assert doc["lazy_a"] is None
 
 
+def test_near_physical_state_follows_the_tolerance():
+    # trace 1 + 1e-7 and Hermiticity residual 4e-8: physical at --tol 1e-6,
+    # so every predicate must accept it there, unphysical at the default
+    state = str(FIXTURES / "near_physical.json")
+    result = run_cli("classify", state, "--tol", "1e-6")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["physical"] is True
+    result = run_cli("classify", state)
+    assert result.returncode == 1
+    assert json.loads(result.stdout)["physical"] is False
+
+
 def test_exit_2_parse_errors():
     assert run_cli("classify", str(FIXTURES / "not_json.json")).returncode == 2
     assert run_cli("classify", str(FIXTURES / "malformed.json")).returncode == 2
