@@ -81,24 +81,31 @@ def bd_spectrum(lam):
 
 
 def _label_points(lam, tol):
-    """Vector core: region codes (indices into REGION_LABELS) + boundary mask."""
+    """Vector core: region codes (indices into REGION_LABELS) + boundary mask.
+
+    Column by column, each element takes the same float operations in the
+    same order as the row-wise reductions it replaced, which the tests keep as
+    a reference.  The output must stay bit-identical: the census and slice
+    digests and the goldens pin it.
+    """
     lam = np.asarray(lam, dtype=float).reshape(-1, 3)
     l1, l2, l3 = lam[:, 0], lam[:, 1], lam[:, 2]
-    evs = 0.25 * np.stack(
-        [1 - l1 + l2 + l3, 1 + l1 - l2 + l3, 1 + l1 + l2 - l3, 1 - l1 - l2 - l3],
-        axis=1,
+    abs1, abs2, abs3 = np.abs(lam).T
+    octa = abs1 + abs2 + abs3
+    nz1, nz2, nz3 = abs1 > tol, abs2 > tol, abs3 > tol
+    on_axis = ~((nz1 & nz2) | (nz1 & nz3) | (nz2 & nz3))
+    # 0.25 * min(...) == min(0.25 * ...): scaling by a power of two is monotone
+    a, b = 1 - l1, 1 + l1
+    min_ev = 0.25 * np.minimum(
+        np.minimum(a + l2 + l3, b - l2 + l3), np.minimum(b + l2 - l3, a - l2 - l3)
     )
-    min_ev = evs.min(axis=1)
-    absl = np.abs(lam)
-    octa = absl.sum(axis=1)
-    nnz = (absl > tol).sum(axis=1)
-    vertex = np.zeros(len(lam), dtype=bool)
-    for v in TETRA_VERTICES:
-        vertex |= np.abs(lam - v).max(axis=1) <= tol
+    p1, p2, p3 = (np.abs(lk - 1.0) <= tol for lk in (l1, l2, l3))
+    m1, m2, m3 = (np.abs(lk + 1.0) <= tol for lk in (l1, l2, l3))
+    vertex = (m1 & m2 & m3) | (m1 & p2 & p3) | (p1 & m2 & p3) | (p1 & p2 & m3)
 
     codes = np.full(len(lam), 4, dtype=np.int8)
     codes[octa <= 1.0 + tol] = 3
-    codes[nnz <= 1] = 2
+    codes[on_axis] = 2
     codes[vertex] = 1
     codes[min_ev < -tol] = 0
 
@@ -190,9 +197,7 @@ def bd_slice(axis: int, value: float, grid: int, tol: float = BOUNDARY_TOL) -> S
     pts[:, free[0] - 1] = f1.ravel()
     pts[:, free[1] - 1] = f2.ravel()
     codes, _ = _label_points(pts, tol)
-    labels = [
-        [REGION_LABELS[codes[i * grid + j]] for j in range(grid)] for i in range(grid)
-    ]
+    labels = np.array(REGION_LABELS, dtype=object)[codes].reshape(grid, grid).tolist()
     return SliceGrid(
         axis=axis,
         value=float(value),
@@ -219,10 +224,11 @@ def census_to_csv(report: CensusReport) -> str:
 
 
 def slice_to_csv(sl: SliceGrid) -> str:
+    free2 = [repr(float(v)) for v in sl.free2]
     lines = ["i,j,l_free1,l_free2,label"]
-    for i in range(sl.grid):
-        for j in range(sl.grid):
-            lines.append(
-                f"{i},{j},{float(sl.free1[i])!r},{float(sl.free2[j])!r},{sl.labels[i][j]}"
-            )
+    for i, row in enumerate(sl.labels):
+        prefix, mid = f"{i},", f",{float(sl.free1[i])!r},"
+        lines.extend(
+            f"{prefix}{j}{mid}{y},{label}" for j, (y, label) in enumerate(zip(free2, row))
+        )
     return "\n".join(lines) + "\n"

@@ -5,7 +5,7 @@ family lazy-discordant|separable, dynamics-check.  Outputs are JSON with
 sorted keys or CSV, both byte-deterministic for a fixed command line.
 
 Exit codes: 0 success, 1 invalid state or family parameters, 2 parse/usage
-error, 3 classifier/dynamics inconsistency.
+error, 3 classifier/dynamics inconsistency or a numerical solver failure.
 """
 
 from __future__ import annotations
@@ -296,6 +296,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
+    except RuntimeError as exc:
+        # a numerical solver that gave up, e.g. svd3 without convergence
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

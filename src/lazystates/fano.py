@@ -84,7 +84,11 @@ def decompose(rho, tol: float = STATE_TOL) -> FanoParams:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    if hermiticity_residual(rho) > tol * max(1.0, frob_norm(rho)):
+    with np.errstate(over="ignore"):
+        hres, norm = hermiticity_residual(rho), frob_norm(rho)
+    if not norm < np.inf:
+        raise ValueError("decompose: matrix too large, its norm overflows")
+    if hres > tol * max(1.0, norm):
         raise ValueError(f"decompose: matrix is not Hermitian within {tol:g}")
     if abs(np.trace(rho) - 1.0) > tol:
         raise ValueError(f"decompose: matrix trace deviates from 1 beyond {tol:g}")
@@ -107,16 +111,20 @@ def validate(rho, tol: float = STATE_TOL) -> PhysicalityReport:
 
     The minimum eigenvalue is reported for the symmetrized matrix even when
     the Hermiticity check fails, so the report is always fully populated.
+    Entries beyond about 1e154 overflow the Frobenius norms to inf, silently
+    here and in decompose; such a matrix is never physical, because the
+    Hermiticity bound tol * inf would accept any residual.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    hres = hermiticity_residual(rho)
+    with np.errstate(over="ignore"):
+        hres, norm = hermiticity_residual(rho), frob_norm(rho)
+        w, _ = herm_eig((rho + rho.conj().T) / 2.0)
     tdev = float(abs(np.trace(rho) - 1.0))
-    w, _ = herm_eig((rho + rho.conj().T) / 2.0)
     min_eig = float(w[0])
     physical = (
-        hres <= tol * max(1.0, frob_norm(rho)) and tdev <= tol and min_eig >= -tol
+        norm < np.inf and hres <= tol * max(1.0, norm) and tdev <= tol and min_eig >= -tol
     )
     return PhysicalityReport(
         physical=physical,

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from lazystates.belldiag import (
+    BOUNDARY_TOL,
     REGION_LABELS,
+    TETRA_VERTICES,
+    _label_points,
     bd_census,
     bd_compose,
     bd_region,
@@ -67,6 +70,93 @@ def test_bd_spectrum_matches_eigensolver():
 )
 def test_bd_region_examples(lam, label):
     assert bd_region(lam) == label
+
+
+def _label_points_rowwise(lam, tol):
+    """Reference labeling: reductions along each point's row."""
+    lam = np.asarray(lam, dtype=float).reshape(-1, 3)
+    l1, l2, l3 = lam[:, 0], lam[:, 1], lam[:, 2]
+    evs = 0.25 * np.stack(
+        [1 - l1 + l2 + l3, 1 + l1 - l2 + l3, 1 + l1 + l2 - l3, 1 - l1 - l2 - l3],
+        axis=1,
+    )
+    min_ev = evs.min(axis=1)
+    absl = np.abs(lam)
+    octa = absl.sum(axis=1)
+    nnz = (absl > tol).sum(axis=1)
+    vertex = np.zeros(len(lam), dtype=bool)
+    for v in TETRA_VERTICES:
+        vertex |= np.abs(lam - v).max(axis=1) <= tol
+
+    codes = np.full(len(lam), 4, dtype=np.int8)
+    codes[octa <= 1.0 + tol] = 3
+    codes[nnz <= 1] = 2
+    codes[vertex] = 1
+    codes[min_ev < -tol] = 0
+
+    physical = min_ev >= -tol
+    boundary = (np.abs(min_ev) <= tol) | (physical & (np.abs(octa - 1.0) <= tol))
+    return codes, boundary
+
+
+# sign flips of two coordinates: local unitaries that permute the four faces
+_PAIR_FLIPS = np.array([[1, 1, 1], [-1, -1, 1], [-1, 1, -1], [1, -1, -1]], dtype=float)
+
+
+def _adversarial_points(tol, seed=17):
+    """Cube points at and within a few tol of every region boundary."""
+    rng = np.random.default_rng(seed)
+    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * tol
+    grid = np.stack(np.meshgrid(offsets, offsets, offsets, indexing="ij"), -1)
+    vertices = (TETRA_VERTICES[:, None, :] + grid.reshape(1, -1, 3)).reshape(-1, 3)
+
+    # face 1 - l1 - l2 - l3 = 4 * min_ev with min_ev in {0, +-tol}, then its images
+    l12 = rng.uniform(-1.0, 1.0, size=(400, 2))
+    face = [
+        np.column_stack([l12, 1.0 - l12[:, 0] - l12[:, 1] - 4.0 * d])
+        for d in (-tol, 0.0, tol)
+    ]
+    faces = (np.concatenate(face)[None, :, :] * _PAIR_FLIPS[:, None, :]).reshape(-1, 3)
+
+    u = rng.normal(size=(400, 3))
+    u /= np.abs(u).sum(axis=1, keepdims=True)
+    octahedron = np.concatenate([(1.0 + d) * u for d in (-tol, 0.0, tol)])
+    # dyadic points: for a power-of-two tol, min_ev and |l|_1 - 1 are exactly d
+    exact = np.concatenate(
+        [[[0.25, 0.5, 0.25 - 4.0 * d], [0.25, 0.25, 0.5 + d]] for d in offsets]
+    )
+    exact = (exact[None, :, :] * _PAIR_FLIPS[:, None, :]).reshape(-1, 3)
+
+    along = np.concatenate([[-1.0, 0.0, 1.0], rng.uniform(-1.0, 1.0, size=40)])
+    off = [0.0, tol, -tol, 2.0 * tol, -2.0 * tol]
+    axes = []
+    for k in range(3):
+        for o1 in off:
+            for o2 in off:
+                pts = np.empty((len(along), 3))
+                pts[:, k] = along
+                pts[:, (k + 1) % 3] = o1
+                pts[:, (k + 2) % 3] = o2
+                axes.append(pts)
+    pts = np.concatenate([vertices, faces, octahedron, exact] + axes)
+    return pts[np.all(np.abs(pts) <= 1.0, axis=1)]
+
+
+# 2**-20 is a power of two, so offsets of +-tol and +-2 tol from the dyadic
+# boundary points are exact and `<= tol` is told apart from `< tol`
+@pytest.mark.parametrize("tol", [BOUNDARY_TOL, 2.0**-20])
+def test_label_points_matches_rowwise_reference(tol):
+    uniform = np.random.default_rng(23).uniform(-1.0, 1.0, size=(1 << 16, 3))
+    adversarial = _adversarial_points(tol)
+    for pts in (uniform, adversarial):
+        codes, boundary = _label_points(pts, tol)
+        ref_codes, ref_boundary = _label_points_rowwise(pts, tol)
+        assert codes.dtype == ref_codes.dtype
+        assert np.array_equal(codes, ref_codes)
+        assert np.array_equal(boundary, ref_boundary)
+    # the adversarial set reaches every region and both sides of the boundary flag
+    assert set(np.unique(ref_codes)) == set(range(len(REGION_LABELS)))
+    assert ref_boundary.any() and not ref_boundary.all()
 
 
 def test_bd_region_symmetry():

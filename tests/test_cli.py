@@ -101,6 +101,46 @@ def test_near_physical_state_follows_the_tolerance():
     assert json.loads(result.stdout)["physical"] is False
 
 
+@pytest.mark.parametrize(
+    "offdiag_10,min_eigenvalue",
+    [
+        # Hermitian: the eigenvalue -1e200 rejects it
+        (1e200, "-1.000e+200"),
+        # anti-Hermitian part only: the Hermitian part I/4 is a state, so only
+        # the overflowing Hermiticity check can reject it
+        (-1e200, "2.500e-01"),
+    ],
+)
+def test_exit_1_overflowing_entries_one_line(tmp_path, offdiag_10, min_eigenvalue):
+    matrix = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    matrix[0][1][0], matrix[1][0][0] = 1e200, offdiag_10
+    state = tmp_path / "huge.json"
+    state.write_text(json.dumps({"matrix": matrix}))
+    result = run_cli("classify", str(state))
+    assert result.returncode == 1
+    assert json.loads(result.stdout)["physical"] is False
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert lines[0].startswith("unphysical state:")
+    assert f"min eigenvalue {min_eigenvalue}" in lines[0]
+    result = run_cli("normal-form", str(state))
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr == "error: decompose: matrix too large, its norm overflows\n"
+
+
+def test_exit_3_solver_runtime_error(monkeypatch, capsys):
+    from lazystates import cli, fano
+
+    def no_convergence(t):
+        raise RuntimeError("svd3: Jacobi sweeps did not converge")
+
+    monkeypatch.setattr(fano, "svd3", no_convergence)
+    assert cli.main(["normal-form", str(FIXTURES / "bell.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: svd3: Jacobi sweeps did not converge\n"
+
+
 def test_exit_2_parse_errors():
     assert run_cli("classify", str(FIXTURES / "not_json.json")).returncode == 2
     assert run_cli("classify", str(FIXTURES / "malformed.json")).returncode == 2

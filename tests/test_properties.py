@@ -125,7 +125,8 @@ def _run_main(argv):
             return exc.code
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# a numpy warning on stderr would break the one-line message promise
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture],
           **PROPERTY_SETTINGS)
 @given(doc=state_doc, data=st.data())
