@@ -5,11 +5,15 @@ zero time derivative at t = 0 under every joint coupling Hamiltonian.  The
 derivative is estimated by a central difference of the base-2 marginal
 entropy along e^{-iht} rho e^{iht}; non-laziness is witnessed by sampling
 generic Hamiltonians, which generically see the nonzero derivative.
+
+The seeded couplings are built once per seed per process: the normalised
+coupling and its eigendecomposition sit, read-only, in a bounded cache, so
+repeated checks reuse them instead of eigensolving them again.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +32,9 @@ COMM_GRAY_ZONE = (1e-9, 1e-4)
 
 # marginal eigenvalues below this contribute nothing to the entropy
 _ENTROPY_CLAMP = 1e-12
+
+# seeded couplings kept per process (about 1 KB each)
+_COUPLING_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -55,14 +62,24 @@ class DynamicsCheckReport:
     caution: bool
 
 
-def random_hamiltonian(seed: int) -> CouplingHamiltonian:
-    """Gaussian-ensemble Hermitian 4x4 coupling, rescaled to unit spectral norm."""
+@functools.lru_cache(maxsize=_COUPLING_CACHE_SIZE, typed=True)
+def _coupling(seed: int):
+    """Read-only (h, w, v): the coupling of random_hamiltonian(seed) and its
+    eigendecomposition h = v @ diag(w) @ v†."""
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = (g + g.conj().T) / 2.0
     w, _ = herm_eig(h)
-    spectral = max(abs(float(w[0])), abs(float(w[-1])))
-    return CouplingHamiltonian(h=h / spectral, seed=seed)
+    h = h / max(abs(float(w[0])), abs(float(w[-1])))
+    w, v = herm_eig(h)
+    for a in (h, w, v):
+        a.flags.writeable = False
+    return h, w, v
+
+
+def random_hamiltonian(seed: int) -> CouplingHamiltonian:
+    """Gaussian-ensemble Hermitian 4x4 coupling, rescaled to unit spectral norm."""
+    return CouplingHamiltonian(h=_coupling(seed)[0].copy(), seed=seed)
 
 
 def _coupling_matrix(h):
@@ -98,13 +115,15 @@ def entropy_rate_at_zero(rho, h, step: float = DEFAULT_STEP) -> RateReport:
     marginal makes the derivative ill conditioned; the report then carries a
     caution flag.
     """
-    return _entropy_rate(certify(rho, "entropy_rate_at_zero"), h, step)
+    rho = certify(rho, "entropy_rate_at_zero")
+    w, v = herm_eig(_coupling_matrix(h))
+    seed = h.seed if isinstance(h, CouplingHamiltonian) else None
+    return _entropy_rate(rho, w, v, step, seed)
 
 
-def _entropy_rate(rho, h, step):
-    """entropy_rate_at_zero on a state the caller has already certified."""
-    hm = _coupling_matrix(h)
-    w, v = herm_eig(hm)
+def _entropy_rate(rho, w, v, step, seed):
+    """entropy_rate_at_zero on a certified state, given the coupling's
+    eigendecomposition (w, v)."""
     spectral = max(abs(float(w[0])), abs(float(w[-1])))
     if step <= 0.0 or step * spectral > 1e-3:
         raise ValueError(
@@ -120,12 +139,7 @@ def _entropy_rate(rho, h, step):
     u_minus = u_plus.conj().T
     s_minus = _entropy2(partial_trace_b(u_minus @ rho @ u_minus.conj().T))
     rate = (s_plus - s_minus) / (2.0 * step)
-    return RateReport(
-        rate=rate,
-        step=step,
-        hamiltonian_seed=h.seed if isinstance(h, CouplingHamiltonian) else None,
-        caution=caution,
-    )
+    return RateReport(rate=rate, step=step, hamiltonian_seed=seed, caution=caution)
 
 
 def _consistency(lazy, max_rate, comm_norm, rate_tol, nonzero_tol):
@@ -155,7 +169,7 @@ def laziness_dynamics_check(
     lazy, comm = lazy_by_commutator(rho)
     rho = np.asarray(rho, dtype=complex)
     rates = tuple(
-        _entropy_rate(rho, random_hamiltonian(seed + k), step)
+        _entropy_rate(rho, *_coupling(seed + k)[1:], step, seed + k)
         for k in range(n_hamiltonians)
     )
     max_abs = max(abs(r.rate) for r in rates)

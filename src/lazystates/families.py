@@ -56,11 +56,13 @@ def check_lazy_discordant(q: LazyDiscordantParams) -> None:
             "lazy-discordant family requires lambda2 < lambda3 strictly "
             f"(got lambda2={q.lambda2}, lambda3={q.lambda3})"
         )
-    bound = q.y1**2 + (q.lambda3 + q.lambda2) ** 2
-    if not bound <= 1.0:  # also rejects a NaN y1
+    s = q.lambda3 + q.lambda2
+    # either term beyond 1 breaks the bound alone, and squaring it may overflow;
+    # the negated test also rejects a NaN y1
+    if not (abs(q.y1) <= 1.0 and abs(s) <= 1.0 and q.y1**2 + s**2 <= 1.0):
         raise ValueError(
-            "positivity bound violated: y1^2 + (lambda3 + lambda2)^2 = "
-            f"{bound:.6g} > 1"
+            "positivity bound violated: y1^2 + (lambda3 + lambda2)^2 > 1 "
+            f"(got y1={q.y1}, lambda2={q.lambda2}, lambda3={q.lambda3})"
         )
 
 

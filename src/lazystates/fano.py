@@ -120,9 +120,13 @@ def validate(rho, tol: float = STATE_TOL) -> PhysicalityReport:
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
     with np.errstate(over="ignore"):
         hres, norm = hermiticity_residual(rho), frob_norm(rho)
-        w, _ = herm_eig((rho + rho.conj().T) / 2.0)
+    # herm_eig refuses a norm that overflows; scaling by 2^-600 is exact for
+    # every entry above about 1e-128, and those set such a minimum
+    scale = 1.0 if norm < np.inf else 2.0**-600
+    m = rho * scale
+    w, _ = herm_eig((m + m.conj().T) / 2.0)
+    min_eig = float(w[0]) / scale
     tdev = float(abs(np.trace(rho) - 1.0))
-    min_eig = float(w[0])
     physical = (
         norm < np.inf and hres <= tol * max(1.0, norm) and tdev <= tol and min_eig >= -tol
     )

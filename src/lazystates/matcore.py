@@ -50,8 +50,13 @@ def hermiticity_residual(m) -> float:
 
 
 def is_hermitian(m, tol: float = 1e-12) -> bool:
-    """True when ||m - m†||_F <= tol * max(1, ||m||_F)."""
-    return hermiticity_residual(m) <= tol * max(1.0, frob_norm(m))
+    """True when ||m||_F is finite and ||m - m†||_F <= tol * max(1, ||m||_F).
+
+    A norm that overflows to inf would admit any residual, so it fails.
+    """
+    with np.errstate(over="ignore"):
+        res, norm = hermiticity_residual(m), frob_norm(m)
+    return norm < np.inf and res <= tol * max(1.0, norm)
 
 
 def _as_4x4(m):
@@ -93,15 +98,17 @@ def herm_eig(m, tol: float = 1e-12):
 
     Returns (w, v) with w real ascending and m = v @ diag(w) @ v†.
 
-    Raises ValueError when m has a non-finite entry or is not Hermitian
-    within tol * max(1, ||m||_F).
+    Raises ValueError when m has a non-finite entry, when its Frobenius norm
+    overflows, or when it is not Hermitian within tol * max(1, ||m||_F).
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     _require_finite(m, "herm_eig")
     if not is_hermitian(m, tol):
-        raise ValueError("herm_eig: input is not Hermitian within tolerance")
+        raise ValueError(
+            "herm_eig: input is not Hermitian within tolerance, or its norm overflows"
+        )
     return np.linalg.eigh(m)
 
 

@@ -180,6 +180,14 @@ def test_exit_1_family_invariant_violation():
         "family", "lazy-discordant", "--y1", "nan", "--l2", "0.3", "--l3", "0.4"
     )
     assert result.returncode == 1 and result.stdout == ""
+    # (l3 + l2)^2 overflows: still one error line, not a traceback
+    result = run_cli(
+        "family", "lazy-discordant",
+        "--y1", "0.0", "--l2", "1.0", "--l3", "1.3407807929942597e+154",
+    )
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr.startswith("error: positivity bound violated")
+    assert len(result.stderr.splitlines()) == 1, result.stderr
 
 
 def test_exit_3_dynamics_inconsistency():

@@ -1,19 +1,33 @@
 import numpy as np
 import pytest
 
+from lazystates import dynamics
 from lazystates.belldiag import bd_compose
 from lazystates.dynamics import (
     COMM_GRAY_ZONE,
+    DEFAULT_STEP,
+    CouplingHamiltonian,
     _consistency,
+    _coupling,
     entropy_a,
     entropy_rate_at_zero,
     evolve,
     laziness_dynamics_check,
     random_hamiltonian,
 )
-from lazystates.families import SeparableFamilyParams, separable_compose
+from lazystates.families import (
+    SeparableFamilyParams,
+    lazy_discordant_compose,
+    separable_compose,
+)
 from lazystates.matcore import frob_norm, herm_eig, hermiticity_residual, kron
-from lazystates.sampling import ginibre_state, random_product_state
+from lazystates.sampling import (
+    ginibre_state,
+    random_bell_diagonal_point,
+    random_lazy_discordant_params,
+    random_product_state,
+    random_separable_params,
+)
 
 NOT_LAZY_WITNESS = separable_compose(
     SeparableFamilyParams(0.5, np.pi / 2, np.pi / 2, 0.0, 1.0)
@@ -184,3 +198,91 @@ def test_commutator_norm_predicts_rate_sign():
             continue
         assert (comm > gray_hi) == (max_rate > 1e-4)
     assert gray_logged <= 5
+
+
+# one state of each kind the dynamics benchmark pool draws, half of them lazy
+DYNAMICS_KINDS = {
+    "bell_diagonal": lambda rng: bd_compose(random_bell_diagonal_point(rng)),
+    "lazy_discordant": lambda rng: lazy_discordant_compose(
+        random_lazy_discordant_params(rng)
+    ),
+    "product": random_product_state,
+    "ginibre": ginibre_state,
+    "separable_family": lambda rng: separable_compose(random_separable_params(rng)),
+}
+
+
+def _fresh_coupling(seed):
+    # built from scratch as random_hamiltonian documents it, with no cache
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = (g + g.conj().T) / 2.0
+    w, _ = herm_eig(h)
+    return CouplingHamiltonian(h=h / max(abs(w[0]), abs(w[-1])), seed=seed)
+
+
+def _uncached_rates(rho, n_hamiltonians, seed, step):
+    # the public path: a fresh coupling per call, eigensolved per rate
+    for k in range(n_hamiltonians):
+        assert np.array_equal(random_hamiltonian(seed + k).h, _fresh_coupling(seed + k).h)
+    return tuple(
+        entropy_rate_at_zero(rho, _fresh_coupling(seed + k), step)
+        for k in range(n_hamiltonians)
+    )
+
+
+@pytest.mark.parametrize("seed,n_hamiltonians,step", [
+    (0, 20, 1e-4), (11, 5, 5e-5), (1000, 33, 2e-4), (2**40, 3, 1e-5),
+])
+def test_cached_couplings_give_the_uncached_rates(seed, n_hamiltonians, step):
+    rng = np.random.default_rng(seed % 997)
+    states = [make(rng) for make in DYNAMICS_KINDS.values()]
+    _coupling.cache_clear()
+    cold = [laziness_dynamics_check(rho, n_hamiltonians, seed, step) for rho in states]
+    assert _coupling.cache_info().misses == n_hamiltonians
+    warm = [laziness_dynamics_check(rho, n_hamiltonians, seed, step) for rho in states]
+    oracle = [_uncached_rates(rho, n_hamiltonians, seed, step) for rho in states]
+    # repr tells every float bit pattern apart, -0.0 from 0.0 included
+    assert repr([r.rates for r in cold]) == repr(oracle)
+    assert repr(warm) == repr(cold)
+
+
+def test_warm_check_eigensolves_no_coupling(monkeypatch):
+    rho = ginibre_state(np.random.default_rng(5))
+    laziness_dynamics_check(rho, 6, seed=70)
+    calls = []
+    monkeypatch.setattr(dynamics, "herm_eig", lambda m: calls.append(m) or herm_eig(m))
+    laziness_dynamics_check(rho, 6, seed=70)
+    assert calls == []
+
+
+def test_mutating_a_returned_coupling_leaves_the_check_alone():
+    rho = ginibre_state(np.random.default_rng(6))
+    before = laziness_dynamics_check(rho, 4, seed=40)
+    coupling = random_hamiltonian(41)
+    assert coupling.h.flags.writeable
+    assert not any(a.flags.writeable for a in _coupling(41))
+    coupling.h[:] = 0.0
+    after = laziness_dynamics_check(rho, 4, seed=40)
+    assert repr(after) == repr(before)
+    assert repr(after.rates) == repr(_uncached_rates(rho, 4, 40, DEFAULT_STEP))
+    assert not np.array_equal(random_hamiltonian(41).h, coupling.h)
+
+
+def test_cache_accepts_the_seeds_numpy_accepts():
+    h = random_hamiltonian(np.int64(5)).h
+    # 5.0 == np.int64(5), but default_rng refuses a float seed, cached or not
+    with pytest.raises(TypeError):
+        random_hamiltonian(5.0)
+    assert np.array_equal(random_hamiltonian(5).h, h)
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-4, 0.01])
+def test_bad_step_raises_the_same_error_on_a_warm_cache(step):
+    rho = bd_compose([0.2, 0.1, -0.3])
+    laziness_dynamics_check(rho, 3, seed=5)
+    with pytest.raises(ValueError) as cached:
+        laziness_dynamics_check(rho, 3, seed=5, step=step)
+    with pytest.raises(ValueError) as direct:
+        entropy_rate_at_zero(rho, _fresh_coupling(5), step=step)
+    assert str(cached.value) == str(direct.value)

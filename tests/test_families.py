@@ -7,6 +7,7 @@ from lazystates.classify import classify, separable_ppt
 from lazystates.families import (
     LazyDiscordantParams,
     SeparableFamilyParams,
+    check_lazy_discordant,
     lazy_discordant_compose,
     lazy_discordant_spectrum,
     separable_classify,
@@ -43,11 +44,35 @@ def test_lazy_discordant_valid_state():
         (LazyDiscordantParams(0.0, 0.0, 0.4), "0 < lambda2"),
         (LazyDiscordantParams(0.9, 0.3, 0.4), "positivity"),
         (LazyDiscordantParams(float("nan"), 0.3, 0.4), "positivity"),
+        # squaring these overflows; the bound must still reject them
+        (LazyDiscordantParams(0.0, 1.0, 1.3407807929942597e154), "positivity"),
+        (LazyDiscordantParams(-1e200, 0.3, 0.4), "positivity"),
     ],
 )
 def test_lazy_discordant_rejections(params, fragment):
     with pytest.raises(ValueError, match=fragment):
         lazy_discordant_compose(params)
+
+
+def test_lazy_discordant_accepts_exactly_the_positivity_region():
+    # points straddling y1^2 + (l3 + l2)^2 = 1, where squaring cannot overflow
+    rng = np.random.default_rng(23)
+    verdicts = set()
+    for _ in range(2000):
+        l2 = rng.uniform(0.01, 0.6)
+        l3 = l2 + rng.uniform(0.01, 0.6)
+        y1 = math.copysign(math.sqrt(abs(1.0 - (l3 + l2) ** 2)), rng.uniform(-1, 1))
+        y1 *= 1.0 + rng.choice([-1e-16, 0.0, 1e-16, 1e-3])
+        q = LazyDiscordantParams(y1, l2, l3)
+        inside = y1**2 + (l3 + l2) ** 2 <= 1.0
+        try:
+            check_lazy_discordant(q)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == inside, q
+        verdicts.add(accepted)
+    assert verdicts == {True, False}
 
 
 def test_lazy_discordant_spectrum_frozen_values():

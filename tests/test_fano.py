@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,19 @@ def test_validate_examples(maximally_mixed):
     rep = validate(rho)
     assert rep.physical
     assert abs(np.einsum("ij,ji->", rho, rho).real - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("entry", [1e200, 1.7e308])
+def test_validate_reports_an_overflowing_state_unphysical(entry):
+    # the norm overflows (and at 1.7e308 so does rho + rho†), yet validate
+    # reports the minimum eigenvalue -entry of the Hermitian matrix, silently
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[0, 1] = rho[1, 0] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = validate(rho)
+    assert not rep.physical
+    assert rep.min_eigenvalue == pytest.approx(-entry, rel=1e-12)
 
 
 def test_normal_form_examples():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from lazystates.matcore import (
     frob_norm,
     herm_eig,
     herm_exp,
+    is_hermitian,
     kron,
     partial_trace_a,
     partial_trace_b,
@@ -131,6 +134,18 @@ def test_kernels_reject_non_finite(bad):
     t[0, 2] = bad
     with pytest.raises(ValueError, match="non-finite"):
         svd3(t)
+
+
+@pytest.mark.parametrize("lower", [1e200, -1e200])
+def test_herm_eig_rejects_an_overflowing_norm(lower):
+    # Hermitian or not, a norm that overflows to inf would admit any residual
+    m = np.eye(4, dtype=complex) / 4.0
+    m[0, 1], m[1, 0] = 1e200, lower
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not is_hermitian(m)
+        with pytest.raises(ValueError, match="overflows"):
+            herm_eig(m)
 
 
 def test_qubit_spectrum_matches_reference_1000_random():

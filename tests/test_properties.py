@@ -2,7 +2,13 @@
 local-unitary invariance of every verdict under drawn unitaries.
 
 Runs are derandomized and keep no example database, so the suite is
-reproducible and leaves nothing behind.
+reproducible and leaves nothing behind.  Reproducible means: the same
+examples for the same Hypothesis version and the same source literals.
+Hypothesis (6.155.2 here) seeds its draws with the constants it finds in
+every local module already imported, that is `src/lazystates` and, in a
+full run, the test modules, so editing a number or a message string there
+can change which examples these tests draw.  CI pins the version for that
+reason.
 """
 
 import contextlib
