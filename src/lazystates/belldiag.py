@@ -38,6 +38,9 @@ TETRA_VERTICES = np.array(
 # counts cannot depend on how blocks are distributed over workers
 _CENSUS_BLOCK = 1 << 16
 
+# rows per _label_points chunk: 8192 float64 values make a 64 KB temporary
+_LABEL_CHUNK = 1 << 13
+
 
 @dataclass(frozen=True)
 class CensusReport:
@@ -87,10 +90,25 @@ def _label_points(lam, tol):
     same order as the row-wise reductions it replaced, which the tests keep as
     a reference.  The output must stay bit-identical: the census and slice
     digests and the goldens pin it.
+
+    The points are labeled in fixed chunks of _LABEL_CHUNK rows, written into
+    preallocated outputs.  Chunking changes allocation sizes, not arithmetic:
+    every temporary stays at 64 KB, which malloc reuses from call to call
+    instead of mapping fresh pages for each census block.  Labels are per
+    point, so the output does not depend on the chunk size.
     """
     lam = np.asarray(lam, dtype=float).reshape(-1, 3)
+    codes = np.empty(len(lam), dtype=np.int8)
+    boundary = np.empty(len(lam), dtype=bool)
+    for start in range(0, len(lam), _LABEL_CHUNK):
+        end = start + _LABEL_CHUNK
+        _label_chunk(lam[start:end], tol, codes[start:end], boundary[start:end])
+    return codes, boundary
+
+
+def _label_chunk(lam, tol, codes, boundary):
     l1, l2, l3 = lam[:, 0], lam[:, 1], lam[:, 2]
-    abs1, abs2, abs3 = np.abs(lam).T
+    abs1, abs2, abs3 = np.abs(l1), np.abs(l2), np.abs(l3)
     octa = abs1 + abs2 + abs3
     nz1, nz2, nz3 = abs1 > tol, abs2 > tol, abs3 > tol
     on_axis = ~((nz1 & nz2) | (nz1 & nz3) | (nz2 & nz3))
@@ -103,15 +121,16 @@ def _label_points(lam, tol):
     m1, m2, m3 = (np.abs(lk + 1.0) <= tol for lk in (l1, l2, l3))
     vertex = (m1 & m2 & m3) | (m1 & p2 & p3) | (p1 & m2 & p3) | (p1 & p2 & m3)
 
-    codes = np.full(len(lam), 4, dtype=np.int8)
+    codes[:] = 4
     codes[octa <= 1.0 + tol] = 3
     codes[on_axis] = 2
     codes[vertex] = 1
     codes[min_ev < -tol] = 0
 
     physical = min_ev >= -tol
-    boundary = (np.abs(min_ev) <= tol) | (physical & (np.abs(octa - 1.0) <= tol))
-    return codes, boundary
+    np.logical_or(
+        np.abs(min_ev) <= tol, physical & (np.abs(octa - 1.0) <= tol), out=boundary
+    )
 
 
 def bd_region(lam, tol: float = BOUNDARY_TOL) -> str:
@@ -224,11 +243,21 @@ def census_to_csv(report: CensusReport) -> str:
 
 
 def slice_to_csv(sl: SliceGrid) -> str:
-    free2 = [repr(float(v)) for v in sl.free2]
-    lines = ["i,j,l_free1,l_free2,label"]
-    for i, row in enumerate(sl.labels):
-        prefix, mid = f"{i},", f",{float(sl.free1[i])!r},"
-        lines.extend(
-            f"{prefix}{j}{mid}{y},{label}" for j, (y, label) in enumerate(zip(free2, row))
-        )
-    return "\n".join(lines) + "\n"
+    """One `i,j,l_free1,l_free2,label` line per grid point, row-major.
+
+    Each row's "i," and ",x_i," and each column's "j" and "y_j," are formatted
+    once; a line is five such pieces, and the file is built with one join.
+    """
+    g = len(sl.free2)
+    # pieces of one grid row: "\ni,", "j", ",x_i,", "y_j,", label per line
+    cells = [None] * (5 * g)
+    cells[1::5] = [str(j) for j in range(g)]
+    cells[3::5] = [f"{float(y)!r}," for y in sl.free2]
+    parts = ["i,j,l_free1,l_free2,label"]
+    for i, (x, row) in enumerate(zip(sl.free1, sl.labels)):
+        cells[0::5] = [f"\n{i},"] * g
+        cells[2::5] = [f",{float(x)!r},"] * g
+        cells[4::5] = row
+        parts += cells
+    parts.append("\n")
+    return "".join(parts)

@@ -32,7 +32,7 @@ from .families import (
     lazy_discordant_compose,
     separable_compose,
 )
-from .fano import decompose, normal_form
+from .fano import certify, decompose, normal_form
 from .stateio import StateFileError, load_state_file, save_state_file, state_to_dict
 
 EXIT_OK = 0
@@ -136,7 +136,10 @@ def _cmd_classify(args) -> int:
 
 def _cmd_normal_form(args) -> int:
     rho = load_state_file(args.state)
-    nf = normal_form(decompose(rho))
+    # decompose first: an overflowing norm is reported as such, not as unphysical
+    p = decompose(rho)
+    certify(rho, "normal-form")
+    nf = normal_form(p)
     _print_json(
         {
             "d": nf.d.tolist(),

@@ -85,8 +85,8 @@ def lazy_discordant_spectrum(q: LazyDiscordantParams):
     Valid for any parameter triple; positivity holds exactly on the family's
     admissible region.
     """
-    s_plus = math.sqrt(q.y1**2 + (q.lambda3 + q.lambda2) ** 2)
-    s_minus = math.sqrt(q.y1**2 + (q.lambda3 - q.lambda2) ** 2)
+    s_plus = math.hypot(q.y1, q.lambda3 + q.lambda2)
+    s_minus = math.hypot(q.y1, q.lambda3 - q.lambda2)
     return 0.25 * np.array([1 + s_plus, 1 - s_plus, 1 + s_minus, 1 - s_minus])
 
 

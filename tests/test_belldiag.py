@@ -5,6 +5,8 @@ from lazystates.belldiag import (
     BOUNDARY_TOL,
     REGION_LABELS,
     TETRA_VERTICES,
+    _CENSUS_BLOCK,
+    _LABEL_CHUNK,
     _label_points,
     bd_census,
     bd_compose,
@@ -159,6 +161,21 @@ def test_label_points_matches_rowwise_reference(tol):
     assert ref_boundary.any() and not ref_boundary.all()
 
 
+@pytest.mark.parametrize("tol", [BOUNDARY_TOL, 2.0**-20])
+@pytest.mark.parametrize(
+    "n",
+    [1, _LABEL_CHUNK - 1, _LABEL_CHUNK, _LABEL_CHUNK + 1, 2 * _LABEL_CHUNK + 3],
+)
+def test_label_points_chunk_seams(tol, n):
+    # boundary points tiled across the seams between labeling chunks
+    pts = np.resize(_adversarial_points(tol), (n, 3))
+    codes, boundary = _label_points(pts, tol)
+    ref_codes, ref_boundary = _label_points_rowwise(pts, tol)
+    assert codes.shape == boundary.shape == (n,)
+    assert np.array_equal(codes, ref_codes)
+    assert np.array_equal(boundary, ref_boundary)
+
+
 def test_bd_region_symmetry():
     # coordinate permutations and pairs of sign flips are local unitaries
     rng = np.random.default_rng(7)
@@ -195,6 +212,16 @@ def test_census_counts_and_determinism():
     assert r3.counts == r1.counts
     r4 = bd_census(30000, seed=43)
     assert r4.counts != r1.counts
+
+
+def test_census_workers_agree_across_blocks():
+    # three blocks, the last one two labeling chunks long
+    samples = 2 * _CENSUS_BLOCK + _LABEL_CHUNK + 1
+    reports = [bd_census(samples, seed=42, workers=w) for w in (1, 2, 3)]
+    assert sum(reports[0].counts.values()) == samples
+    for r in reports[1:]:
+        assert r.counts == reports[0].counts
+        assert r.boundary_hits == reports[0].boundary_hits
 
 
 def test_census_fractions_sane():
@@ -263,6 +290,26 @@ def test_slice_grid2_and_csv():
     assert lines[0] == "i,j,l_free1,l_free2,label"
     assert len(lines) == 1 + 4
     assert lines[1].split(",")[:4] == ["0", "0", "-1.0", "-1.0"]
+
+
+def _slice_to_csv_rowwise(sl):
+    """Reference CSV: each line formatted whole, then joined by newlines."""
+    free2 = [repr(float(v)) for v in sl.free2]
+    lines = ["i,j,l_free1,l_free2,label"]
+    for i, row in enumerate(sl.labels):
+        prefix, mid = f"{i},", f",{float(sl.free1[i])!r},"
+        lines.extend(
+            f"{prefix}{j}{mid}{y},{label}" for j, (y, label) in enumerate(zip(free2, row))
+        )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("grid", [2, 3, 37])
+@pytest.mark.parametrize("axis", [1, 2, 3])
+@pytest.mark.parametrize("value", [0.0, 0.5, 1 / 3, -1.0])
+def test_slice_csv_matches_rowwise_reference(grid, axis, value):
+    sl = bd_slice(axis=axis, value=value, grid=grid)
+    assert slice_to_csv(sl) == _slice_to_csv_rowwise(sl)
 
 
 def test_slice_rejects_bad_arguments():

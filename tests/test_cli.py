@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -44,6 +45,23 @@ def test_golden_outputs(args, golden):
     result = run_cli(*args)
     assert result.returncode == 0, result.stderr
     assert result.stdout == (GOLDEN / golden).read_text()
+
+
+# SHA-256 of outputs that span several census blocks and labeling chunks,
+# recorded before the labeling was split into fixed chunks
+@pytest.mark.parametrize(
+    "args,digest",
+    [
+        (("bd", "census", "--samples", "200003", "--seed", "7"),
+         "fa3165e3c2b7922c619f575809f4931f27c1a8b12559dd52731ad4e42a95dde2"),
+        (("bd", "slice", "--axis", "3", "--value", "0", "--grid", "101"),
+         "362e68b23e94b80ec4111b147a3575fdc4116ea934e3c6514118c51c9dcad67c"),
+    ],
+)
+def test_multi_chunk_output_digests(args, digest):
+    result = run_cli(*args)
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
 
 def test_byte_identical_reruns():
@@ -126,6 +144,16 @@ def test_exit_1_overflowing_entries_one_line(tmp_path, offdiag_10, min_eigenvalu
     result = run_cli("normal-form", str(state))
     assert result.returncode == 1 and result.stdout == ""
     assert result.stderr == "error: decompose: matrix too large, its norm overflows\n"
+
+
+def test_exit_1_normal_form_of_unphysical_state():
+    # T = 2 I: a well-formed Fano file whose matrix has eigenvalue -5/4
+    result = run_cli("normal-form", str(FIXTURES / "unphysical_fano.json"))
+    assert result.returncode == 1 and result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert lines[0].startswith("error: normal-form: unphysical state")
+    assert "min eigenvalue -1.250e+00" in lines[0]
 
 
 def test_exit_3_solver_runtime_error(monkeypatch, capsys):

@@ -82,6 +82,9 @@ def test_lazy_discordant_spectrum_frozen_values():
     assert np.allclose(sorted(sp), sorted([0.425, 0.075, 0.275, 0.225]), atol=1e-15)
     sp = lazy_discordant_spectrum(LazyDiscordantParams(0.0, 0.0, 0.0))
     assert np.allclose(sp, [0.25] * 4)
+    # valid for any triple: squaring y1 = 1e200 would overflow
+    sp = lazy_discordant_spectrum(LazyDiscordantParams(1e200, 0.1, 0.2))
+    assert sp.tolist() == [2.5e199, -2.5e199, 2.5e199, -2.5e199]
 
 
 def test_lazy_discordant_spectrum_matches_eigensolver():
