@@ -6,21 +6,25 @@ derivative is estimated by a central difference of the base-2 marginal
 entropy along e^{-iht} rho e^{iht}; non-laziness is witnessed by sampling
 generic Hamiltonians, which generically see the nonzero derivative.
 
-The seeded couplings are built once per seed per process: the normalised
-coupling and its eigendecomposition sit, read-only, in a bounded cache, so
-repeated checks reuse them instead of eigensolving them again.
+Two bounded caches, of _COUPLING_CACHE_SIZE entries each, serve the seeded
+couplings.  One holds, per seed, the normalised coupling and its
+eigendecomposition; the other holds, per (seed, step), the step propagator
+u = e^{-ih·step} and u†.  All their arrays are read-only, so repeated checks
+in one process eigensolve no coupling and exponentiate none again.  The step
+guard runs before anything is cached.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import lazy_by_commutator
+from .classify import DEFAULT_TOL, _commutator_witness
 from .fano import certify
-from .matcore import herm_eig, herm_exp, partial_trace_b, qubit_spectrum
+from .matcore import herm_eig, herm_exp, partial_trace_b
 
 DEFAULT_STEP = 1e-4
 RATE_TOL_ZERO = 1e-6
@@ -33,7 +37,8 @@ COMM_GRAY_ZONE = (1e-9, 1e-4)
 # marginal eigenvalues below this contribute nothing to the entropy
 _ENTROPY_CLAMP = 1e-12
 
-# seeded couplings kept per process (about 1 KB each)
+# seeded couplings, and (seed, step) propagators, kept per process (about
+# 1 KB each)
 _COUPLING_CACHE_SIZE = 256
 
 
@@ -91,20 +96,69 @@ def _coupling_matrix(h):
 def evolve(rho, h, t: float):
     """Conjugate rho by e^{-iht}; trace and spectrum are preserved."""
     rho = certify(rho, "evolve")
+    if not math.isfinite(t):
+        raise ValueError(f"evolve: t must be finite (got {t})")
     u = herm_exp(_coupling_matrix(h), t)
     return u @ rho @ u.conj().T
 
 
 def entropy_a(rho) -> float:
     """Base-2 von Neumann entropy of the first-qubit marginal."""
-    rho = certify(rho, "entropy_a")
-    return _entropy2(partial_trace_b(rho))
+    return _marginal_entropy(certify(rho, "entropy_a"))
 
 
-def _entropy2(marginal) -> float:
-    w = qubit_spectrum(marginal)
+def _marginal_entropy(m) -> float:
+    """Base-2 entropy of the first-qubit marginal of the 4x4 state m.
+
+    The marginal [[m00 + m11, m02 + m13], [., m22 + m33]] is read straight
+    off m; its spectrum has qubit_spectrum's closed form.
+    """
+    r = math.hypot(
+        float((m[0, 0] + m[1, 1] - (m[2, 2] + m[3, 3])).real),
+        2.0 * abs(m[0, 2] + m[1, 3]),
+    )
+    w = np.array([(1.0 - r) / 2.0, (1.0 + r) / 2.0])
     w = w[w > _ENTROPY_CLAMP]
     return float(-(w * np.log2(w)).sum())
+
+
+def _step_propagators(w, v, step):
+    """(u, u†) with u = e^{-ih·step}, h = v @ diag(w) @ v†, once the step
+    passes the guard."""
+    spectral = max(abs(float(w[0])), abs(float(w[-1])))
+    if not 0.0 < step * spectral <= 1e-3:
+        raise ValueError(
+            "entropy_rate_at_zero: require 0 < step * spectral_norm(h) <= 1e-3 "
+            f"(got step={step}, spectral norm={spectral:.3g})"
+        )
+    u = (v * np.exp(-1j * w * step)) @ v.conj().T
+    return u, u.conj().T
+
+
+@functools.lru_cache(maxsize=_COUPLING_CACHE_SIZE, typed=True)
+def _propagator(seed: int, step: float):
+    """Read-only _step_propagators of random_hamiltonian(seed)'s coupling."""
+    u, u_dag = _step_propagators(*_coupling(seed)[1:], step)
+    # u_dag is a transposed view; its base is locked too
+    for a in (u, u_dag, u_dag.base):
+        a.flags.writeable = False
+    return u, u_dag
+
+
+def _pure_marginal(rho) -> bool:
+    """True when the first-qubit marginal is pure to 1e-12, where the
+    entropy derivative is ill conditioned."""
+    marginal = partial_trace_b(rho)
+    purity = float(np.einsum("ij,ji->", marginal, marginal).real)
+    return purity >= 1.0 - 1e-12
+
+
+def _entropy_rate(rho, u, u_dag, step) -> float:
+    """Central difference of the marginal entropy of a certified rho along
+    the step propagators (u, u†)."""
+    s_plus = _marginal_entropy(u @ rho @ u_dag)
+    s_minus = _marginal_entropy(u_dag @ rho @ u)
+    return (s_plus - s_minus) / (2.0 * step)
 
 
 def entropy_rate_at_zero(rho, h, step: float = DEFAULT_STEP) -> RateReport:
@@ -116,30 +170,13 @@ def entropy_rate_at_zero(rho, h, step: float = DEFAULT_STEP) -> RateReport:
     caution flag.
     """
     rho = certify(rho, "entropy_rate_at_zero")
-    w, v = herm_eig(_coupling_matrix(h))
-    seed = h.seed if isinstance(h, CouplingHamiltonian) else None
-    return _entropy_rate(rho, w, v, step, seed)
-
-
-def _entropy_rate(rho, w, v, step, seed):
-    """entropy_rate_at_zero on a certified state, given the coupling's
-    eigendecomposition (w, v)."""
-    spectral = max(abs(float(w[0])), abs(float(w[-1])))
-    if step <= 0.0 or step * spectral > 1e-3:
-        raise ValueError(
-            "entropy_rate_at_zero: require 0 < step * spectral_norm(h) <= 1e-3 "
-            f"(got step={step}, spectral norm={spectral:.3g})"
-        )
-    marginal = partial_trace_b(rho)
-    purity = float(np.einsum("ij,ji->", marginal, marginal).real)
-    caution = purity >= 1.0 - 1e-12
-
-    u_plus = (v * np.exp(-1j * w * step)) @ v.conj().T
-    s_plus = _entropy2(partial_trace_b(u_plus @ rho @ u_plus.conj().T))
-    u_minus = u_plus.conj().T
-    s_minus = _entropy2(partial_trace_b(u_minus @ rho @ u_minus.conj().T))
-    rate = (s_plus - s_minus) / (2.0 * step)
-    return RateReport(rate=rate, step=step, hamiltonian_seed=seed, caution=caution)
+    u, u_dag = _step_propagators(*herm_eig(_coupling_matrix(h)), step)
+    return RateReport(
+        rate=_entropy_rate(rho, u, u_dag, step),
+        step=step,
+        hamiltonian_seed=h.seed if isinstance(h, CouplingHamiltonian) else None,
+        caution=_pure_marginal(rho),
+    )
 
 
 def _consistency(lazy, max_rate, comm_norm, rate_tol, nonzero_tol):
@@ -165,11 +202,24 @@ def laziness_dynamics_check(
     max |rate| > nonzero_tol).  An inconsistent result whose commutator norm
     falls in COMM_GRAY_ZONE is a boundary case to log, not a failure.
     """
-    # lazy_by_commutator is the check's one physicality gate
-    lazy, comm = lazy_by_commutator(rho)
-    rho = np.asarray(rho, dtype=complex)
+    if n_hamiltonians < 1:
+        raise ValueError(
+            "laziness_dynamics_check: n_hamiltonians must be at least 1 "
+            f"(got {n_hamiltonians})"
+        )
+    # the check's one physicality gate; the witness and every rate then see
+    # the Hermitian part
+    rho = certify(rho, "laziness_dynamics_check")
+    comm = _commutator_witness(rho)
+    lazy = comm <= DEFAULT_TOL
+    caution = _pure_marginal(rho)
     rates = tuple(
-        _entropy_rate(rho, *_coupling(seed + k)[1:], step, seed + k)
+        RateReport(
+            rate=_entropy_rate(rho, *_propagator(seed + k, step), step),
+            step=step,
+            hamiltonian_seed=seed + k,
+            caution=caution,
+        )
         for k in range(n_hamiltonians)
     )
     max_abs = max(abs(r.rate) for r in rates)
@@ -181,5 +231,5 @@ def laziness_dynamics_check(
         commutator_norm=comm,
         consistent=consistent,
         gray_zone=gray,
-        caution=any(r.caution for r in rates),
+        caution=caution,
     )

@@ -156,6 +156,17 @@ def test_exit_1_normal_form_of_unphysical_state():
     assert "min eigenvalue -1.250e+00" in lines[0]
 
 
+@pytest.mark.parametrize(
+    "fixture", ["unphysical_fano.json", "trace_low.json", "near_physical.json"]
+)
+def test_exit_1_dynamics_check_of_unphysical_state(fixture):
+    result = run_cli("dynamics-check", str(FIXTURES / fixture))
+    assert result.returncode == 1 and result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert lines[0].startswith("error: laziness_dynamics_check: unphysical state")
+
+
 def test_exit_3_solver_runtime_error(monkeypatch, capsys):
     from lazystates import cli, fano
 

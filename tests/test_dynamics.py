@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ from lazystates.dynamics import (
     COMM_GRAY_ZONE,
     DEFAULT_STEP,
     CouplingHamiltonian,
+    RateReport,
     _consistency,
     _coupling,
+    _propagator,
     entropy_a,
     entropy_rate_at_zero,
     evolve,
@@ -20,7 +24,15 @@ from lazystates.families import (
     lazy_discordant_compose,
     separable_compose,
 )
-from lazystates.matcore import frob_norm, herm_eig, hermiticity_residual, kron
+from lazystates.fano import certify
+from lazystates.matcore import (
+    frob_norm,
+    herm_eig,
+    hermiticity_residual,
+    kron,
+    partial_trace_b,
+    qubit_spectrum,
+)
 from lazystates.sampling import (
     ginibre_state,
     random_bell_diagonal_point,
@@ -231,15 +243,50 @@ def _uncached_rates(rho, n_hamiltonians, seed, step):
     )
 
 
-@pytest.mark.parametrize("seed,n_hamiltonians,step", [
-    (0, 20, 1e-4), (11, 5, 5e-5), (1000, 33, 2e-4), (2**40, 3, 1e-5),
-])
+def _entropy2_reference(marginal):
+    w = qubit_spectrum(marginal)
+    w = w[w > 1e-12]
+    return float(-(w * np.log2(w)).sum())
+
+
+def _entropy_rate_reference(rho, coupling, step):
+    # the rate arithmetic of the uncached implementation, kept here as an
+    # oracle: fresh eigensolve and propagator per rate, einsum partial
+    # traces, the marginal spectrum by qubit_spectrum
+    w, v = herm_eig(coupling.h)
+    marginal = partial_trace_b(rho)
+    purity = float(np.einsum("ij,ji->", marginal, marginal).real)
+    u_plus = (v * np.exp(-1j * w * step)) @ v.conj().T
+    s_plus = _entropy2_reference(partial_trace_b(u_plus @ rho @ u_plus.conj().T))
+    u_minus = u_plus.conj().T
+    s_minus = _entropy2_reference(partial_trace_b(u_minus @ rho @ u_minus.conj().T))
+    return RateReport(
+        rate=(s_plus - s_minus) / (2.0 * step),
+        step=step,
+        hamiltonian_seed=coupling.seed,
+        caution=purity >= 1.0 - 1e-12,
+    )
+
+
+def _reference_rates(rho, n_hamiltonians, seed, step):
+    return tuple(
+        _entropy_rate_reference(rho, _fresh_coupling(seed + k), step)
+        for k in range(n_hamiltonians)
+    )
+
+
+CHECK_CASES = [(0, 20, 1e-4), (11, 5, 5e-5), (1000, 33, 2e-4), (2**40, 3, 1e-5)]
+
+
+@pytest.mark.parametrize("seed,n_hamiltonians,step", CHECK_CASES)
 def test_cached_couplings_give_the_uncached_rates(seed, n_hamiltonians, step):
     rng = np.random.default_rng(seed % 997)
     states = [make(rng) for make in DYNAMICS_KINDS.values()]
     _coupling.cache_clear()
+    _propagator.cache_clear()
     cold = [laziness_dynamics_check(rho, n_hamiltonians, seed, step) for rho in states]
-    assert _coupling.cache_info().misses == n_hamiltonians
+    # one propagator pair built per (seed, step), shared by every state
+    assert _propagator.cache_info().misses == n_hamiltonians
     warm = [laziness_dynamics_check(rho, n_hamiltonians, seed, step) for rho in states]
     oracle = [_uncached_rates(rho, n_hamiltonians, seed, step) for rho in states]
     # repr tells every float bit pattern apart, -0.0 from 0.0 included
@@ -286,3 +333,101 @@ def test_bad_step_raises_the_same_error_on_a_warm_cache(step):
     with pytest.raises(ValueError) as direct:
         entropy_rate_at_zero(rho, _fresh_coupling(5), step=step)
     assert str(cached.value) == str(direct.value)
+
+
+@pytest.mark.parametrize("seed,n_hamiltonians,step", CHECK_CASES)
+def test_check_matches_the_reference_arithmetic(seed, n_hamiltonians, step):
+    rng = np.random.default_rng(seed % 997)
+    states = [make(rng) for make in DYNAMICS_KINDS.values()]
+    oracle = [_reference_rates(rho, n_hamiltonians, seed, step) for rho in states]
+    _coupling.cache_clear()
+    _propagator.cache_clear()
+    for _ in ("cold", "warm"):
+        reports = [laziness_dynamics_check(rho, n_hamiltonians, seed, step) for rho in states]
+        assert repr([r.rates for r in reports]) == repr(oracle)
+        assert [r.caution for r in reports] == [o[0].caution for o in oracle]
+    direct = [
+        tuple(
+            entropy_rate_at_zero(rho, random_hamiltonian(seed + k), step)
+            for k in range(n_hamiltonians)
+        )
+        for rho in states
+    ]
+    assert repr(direct) == repr(oracle)
+
+
+def test_entropy_a_matches_the_reference_arithmetic(bell_phi_plus):
+    rng = np.random.default_rng(17)
+    states = [bell_phi_plus] + [make(rng) for make in DYNAMICS_KINDS.values() for _ in range(4)]
+    states += [evolve(rho, random_hamiltonian(3), 0.7) for rho in states]
+    for rho in states:
+        marginal = partial_trace_b(certify(rho, "test"))
+        assert repr(entropy_a(rho)) == repr(_entropy2_reference(marginal))
+
+
+def test_propagators_are_keyed_by_seed_and_step():
+    # alternating steps and overlapping seed ranges on a warm cache: a key
+    # that dropped the step or shifted the seed would hand back a wrong pair
+    rho = ginibre_state(np.random.default_rng(8))
+    for step in (1e-4, 5e-5, 1e-4, 2e-4):
+        for seed in (60, 61, 60):
+            report = laziness_dynamics_check(rho, 3, seed, step)
+            assert repr(report.rates) == repr(_reference_rates(rho, 3, seed, step))
+    u, _ = _propagator(60, 1e-4)
+    assert not np.array_equal(u, _propagator(61, 1e-4)[0])
+    assert not np.array_equal(u, _propagator(60, 5e-5)[0])
+
+
+def test_cached_propagators_are_read_only():
+    u, u_dag = _propagator(62, DEFAULT_STEP)
+    assert np.array_equal(u_dag, u.conj().T)
+    w, v = herm_eig(_fresh_coupling(62).h)
+    assert np.array_equal(u, (v * np.exp(-1j * w * DEFAULT_STEP)) @ v.conj().T)
+    for a in (u, u_dag, u_dag.base):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+    assert _propagator(62, DEFAULT_STEP)[0] is u
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf])
+def test_non_finite_step_is_rejected(bell_phi_plus, step):
+    with pytest.raises(ValueError, match="require 0 < step"):
+        entropy_rate_at_zero(bell_phi_plus, random_hamiltonian(0), step=step)
+    with pytest.raises(ValueError, match="require 0 < step"):
+        laziness_dynamics_check(bell_phi_plus, 3, step=step)
+    with pytest.raises(ValueError, match="t must be finite"):
+        evolve(bell_phi_plus, random_hamiltonian(0), step)
+
+
+def test_rejected_step_leaves_nothing_cached(bell_phi_plus):
+    _propagator.cache_clear()
+    for step in (math.nan, 0.0, 0.01):
+        with pytest.raises(ValueError):
+            laziness_dynamics_check(bell_phi_plus, 2, seed=3, step=step)
+    assert _propagator.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("n_hamiltonians", [0, -1])
+def test_check_needs_a_coupling(bell_phi_plus, n_hamiltonians):
+    with pytest.raises(ValueError, match="n_hamiltonians must be at least 1"):
+        laziness_dynamics_check(bell_phi_plus, n_hamiltonians)
+
+
+def test_check_works_on_the_certified_hermitian_part():
+    # an anti-Hermitian part far inside the 1e-9 gate still moved the rates
+    # when they were computed on the raw matrix
+    rng = np.random.default_rng(21)
+    rho = ginibre_state(rng)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    skew = (g - g.conj().T) / 2.0
+    perturbed = rho + 2e-12 * skew / frob_norm(skew)
+    herm = certify(perturbed, "test")
+    assert hermiticity_residual(herm) == 0.0
+    assert repr(laziness_dynamics_check(perturbed, 20, seed=0)) == repr(
+        laziness_dynamics_check(herm, 20, seed=0)
+    )
+    # exactly Hermitian input is used as it is
+    assert repr(laziness_dynamics_check(rho, 20, seed=0)) == repr(
+        laziness_dynamics_check(certify(rho, "test"), 20, seed=0)
+    )
