@@ -5,7 +5,8 @@ family lazy-discordant|separable, dynamics-check.  Outputs are JSON with
 sorted keys or CSV, both byte-deterministic for a fixed command line.
 
 Exit codes: 0 success, 1 invalid state or family parameters, 2 parse/usage
-error, 3 classifier/dynamics inconsistency or a numerical solver failure.
+error, 3 classifier/dynamics inconsistency or a numerical solver failure,
+141 (128 + SIGPIPE) stdout closed by its reader before the output was written.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -39,6 +41,7 @@ EXIT_OK = 0
 EXIT_INVALID_STATE = 1
 EXIT_USAGE = 2
 EXIT_INCONSISTENT = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _print_json(doc) -> None:
@@ -293,7 +296,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flush inside the try: a reader that is gone fails here, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the flush at interpreter exit would fail again and print a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return EXIT_BROKEN_PIPE
     except StateFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

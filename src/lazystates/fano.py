@@ -22,6 +22,7 @@ from .matcore import (
     I2,
     PAULIS,
     det3,
+    dot3,
     frob_norm,
     herm_eig,
     hermiticity_residual,
@@ -159,9 +160,13 @@ def normal_form(p: FanoParams) -> NormalForm:
 
     Built on svd3: the descending singular triple is reversed to ascending,
     then determinant signs are repaired by flipping the first (smallest)
-    column, which moves a sign onto d[0] when det t < 0.  Classification
-    predicates downstream consume only sigma and x_rot, which are insensitive
-    to the rotation choice made for repeated singular values.
+    column, which moves a sign onto d[0] when det t < 0.  Within a repeated
+    singular value the rotation is a choice: o_a, o_b and the components of
+    x_rot and y_rot in that block follow it, and only their norm within the
+    block does not; the zero-discord test reads only sigma and such norms.
+    x_rot and y_rot are summed left to right like svd3's dot products, so
+    every field depends on CPython float arithmetic, math.sqrt and
+    math.hypot, and on no BLAS or LAPACK build.
     """
     u, s, v = svd3(p.t)
     u2 = np.ascontiguousarray(u[:, ::-1])
@@ -175,9 +180,10 @@ def normal_form(p: FanoParams) -> NormalForm:
         d[0] = -d[0]
     o_a = u2.T.copy()
     o_b = v2.T.copy()
+    x, y = p.x.tolist(), p.y.tolist()
     return NormalForm(
-        x_rot=o_a @ p.x,
-        y_rot=o_b @ p.y,
+        x_rot=np.array([dot3(row, x) for row in o_a.tolist()]),
+        y_rot=np.array([dot3(row, y) for row in o_b.tolist()]),
         d=d,
         sigma=np.abs(d),
         o_a=o_a,

@@ -4,9 +4,12 @@ Everything here works on plain numpy arrays (complex128 for operators,
 float64 for the real 3x3 correlation blocks).  Hermitian eigenproblems go to
 LAPACK through numpy's eigh, except qubit marginals, whose spectrum has a
 closed form.  The one hand-written solver left is svd3, a one-sided Jacobi
-SVD kept for the local normal form: LAPACK's choice of singular vectors for
-repeated singular values depends on the build, and normal-form output pins
-those vectors.  Both solvers raise ValueError on non-finite input.
+SVD kept for the local normal form: when singular values repeat, the
+singular vectors are not unique, and normal-form output pins the choice.
+svd3 makes that choice in CPython float arithmetic with math.sqrt and
+math.hypot, calling neither BLAS nor LAPACK, so it is the same whichever
+kernel OpenBLAS picks at run time.  Both solvers raise ValueError on
+non-finite input.
 """
 
 from __future__ import annotations
@@ -125,13 +128,29 @@ def qubit_spectrum(m):
     return np.array([(1.0 - r) / 2.0, (1.0 + r) / 2.0])
 
 
+def dot3(a, b) -> float:
+    """a . b of two 3-sequences of floats, summed left to right from +0.0.
+
+    Starting at +0.0, as BLAS does, makes a sum of negative zeros +0.0.
+    """
+    return 0.0 + a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
 def svd3(t):
     """SVD of a real 3x3 matrix by one-sided Jacobi.
 
     Returns (u, s, v) with s nonnegative descending and t = u @ diag(s) @ v.T.
     u and v are orthogonal (not necessarily special orthogonal); columns of u
-    belonging to zero singular values are completed deterministically from
-    the coordinate axes.
+    belonging to zero singular values, those at or below
+    1e-13 * max(1, s[0]), are completed deterministically from the
+    coordinate axes.
+
+    The sweep and the completion run on Python float lists, one per column,
+    with every dot product summed left to right: the result depends on
+    CPython float arithmetic, math.sqrt and math.hypot, not on BLAS.  The
+    columns are first scaled by the power of two that brings the largest
+    entry into [1/2, 1), which is exact, so the rotation thresholds neither
+    underflow nor overflow and a unit-scale input keeps every bit.
     """
     w = np.array(t, dtype=float)
     if w.shape != (3, 3):
@@ -139,19 +158,25 @@ def svd3(t):
     _require_finite(w, "svd3")
     with np.errstate(over="ignore"):
         gram = float(np.sum(w * w))
-    # an overflowing Gram sum would turn the rotation angles into 0/0
+    # the singular values are formed back at the input's scale, where a
+    # squared norm that overflows would make them inf
     if not math.isfinite(gram):
         raise ValueError("svd3: input too large, its squared norm overflows")
-    v = np.eye(3)
+    scale = math.frexp(float(np.max(np.abs(w))))[1]
+    w = np.ldexp(w, -scale)
     # absolute floor anchored to the input scale, or the parallel leftovers
     # of a rank-deficient input cascade through denormals forever
-    gram_floor = 1e-28 * gram
+    gram_floor = 1e-28 * float(np.sum(w * w))
+    w = w.T.tolist()
+    v = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     for _ in range(_SWEEP_LIMIT):
         converged = True
         for i, j in ((0, 1), (0, 2), (1, 2)):
-            gii = float(w[:, i] @ w[:, i])
-            gjj = float(w[:, j] @ w[:, j])
-            gij = float(w[:, i] @ w[:, j])
+            a0, a1, a2 = w[i]
+            b0, b1, b2 = w[j]
+            gii = a0 * a0 + a1 * a1 + a2 * a2
+            gjj = b0 * b0 + b1 * b1 + b2 * b2
+            gij = a0 * b0 + a1 * b1 + a2 * b2
             # the relative threshold sits well above the cancellation noise
             # of the Gram dot products, or near-degenerate columns never settle
             if abs(gij) <= max(1e-14 * math.sqrt(gii * gjj), gram_floor):
@@ -164,36 +189,41 @@ def svd3(t):
                 tt = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
             cs = 1.0 / math.sqrt(1.0 + tt * tt)
             sn = cs * tt
-            wi = w[:, i].copy()
-            w[:, i] = cs * wi - sn * w[:, j]
-            w[:, j] = sn * wi + cs * w[:, j]
-            vi = v[:, i].copy()
-            v[:, i] = cs * vi - sn * v[:, j]
-            v[:, j] = sn * vi + cs * v[:, j]
+            w[i] = [cs * a0 - sn * b0, cs * a1 - sn * b1, cs * a2 - sn * b2]
+            w[j] = [sn * a0 + cs * b0, sn * a1 + cs * b1, sn * a2 + cs * b2]
+            vi, vj = v[i], v[j]
+            v[i] = [cs * p - sn * q for p, q in zip(vi, vj)]
+            v[j] = [sn * p + cs * q for p, q in zip(vi, vj)]
         if converged:
             break
     else:
         raise RuntimeError("svd3: Jacobi sweeps did not converge")
 
-    s = np.sqrt(np.sum(w * w, axis=0))
-    order = np.argsort(-s, kind="stable")
-    s = s[order]
-    w = w[:, order]
-    v = v[:, order]
-    u = np.zeros((3, 3))
-    cutoff = 1e-13 * max(1.0, float(s[0]))
+    w = [[math.ldexp(x, scale) for x in col] for col in w]
+    s = [math.sqrt(a * a + b * b + c * c) for a, b, c in w]
+    order = sorted(range(3), key=lambda k: -s[k])
+    s = [s[k] for k in order]
+    w = [w[k] for k in order]
+    v = [v[k] for k in order]
+    u = []
+    cutoff = 1e-13 * max(1.0, s[0])
     for k in range(3):
         if s[k] > cutoff:
-            u[:, k] = w[:, k] / s[k]
-        else:
-            s[k] = 0.0
-            for e in np.eye(3):
-                cand = e - sum((u[:, m] @ e) * u[:, m] for m in range(k))
-                nn = float(np.linalg.norm(cand))
-                if nn > 0.5:
-                    u[:, k] = cand / nn
-                    break
-    return u, s, v
+            u.append([x / s[k] for x in w[k]])
+            continue
+        s[k] = 0.0
+        for axis in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]):
+            # axis minus its projections onto the columns already set
+            proj = [0.0, 0.0, 0.0]
+            for um in u:
+                c = dot3(um, axis)
+                proj = [p + c * q for p, q in zip(proj, um)]
+            cand = [p - q for p, q in zip(axis, proj)]
+            nn = math.sqrt(dot3(cand, cand))
+            if nn > 0.5:
+                u.append([x / nn for x in cand])
+                break
+    return np.array(u).T, np.array(s), np.array(v).T
 
 
 def det3(m) -> float:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -178,6 +179,41 @@ def test_exit_3_solver_runtime_error(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: svd3: Jacobi sweeps did not converge\n"
+
+
+def test_state_far_below_unit_scale():
+    # x = y = 0 and T ~ 1e-90: a physical state next to I/4, whose singular
+    # values fall below svd3's 1e-13 cutoff and come out as exact zeros
+    state = str(FIXTURES / "tiny_fano.json")
+    result = run_cli("classify", state)
+    assert result.returncode == 0, result.stderr
+    doc = json.loads(result.stdout)
+    assert doc["zero_discord_a"] is True and doc["lazy_a"] is True
+    result = run_cli("normal-form", state)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["sigma"] == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("classify", str(FIXTURES / "bell.json")),
+        ("bd", "census", "--samples", "1000", "--seed", "1"),
+        ("bd", "classify", "--lambda", "0,0,0.5"),
+    ],
+)
+def test_exit_141_when_stdout_is_closed(args):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "lazystates", *args],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 141
+    assert result.stderr == "error: stdout was closed before the output was written\n"
 
 
 def test_exit_2_parse_errors():

@@ -1,3 +1,7 @@
+import os
+import platform
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -172,3 +176,64 @@ def test_laziness_invariant_under_normal_form():
         nf = normal_form(p)
         rotated = compose(FanoParams(nf.x_rot, nf.y_rot, np.diag(nf.d)))
         assert classify(rho).lazy_a == classify(rotated).lazy_a
+
+
+def _numpy_on_openblas_x86_64():
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return False
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.25 has no mode="dicts"
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+_DIGEST_CHILD = """
+import hashlib, sys
+import numpy as np
+from lazystates.fano import FanoParams, normal_form
+from lazystates.matcore import svd3
+h = hashlib.sha256()
+for r in np.load(sys.argv[1]):
+    p = FanoParams(r[:3], r[3:6], r[6:])
+    h.update(repr([a.tolist() for a in svd3(p.t)]).encode())
+    nf = normal_form(p)
+    h.update(repr([nf.x_rot.tolist(), nf.y_rot.tolist(), nf.d.tolist(),
+                   nf.o_a.tolist(), nf.o_b.tolist()]).encode())
+print(h.hexdigest())
+"""
+
+
+@pytest.mark.skipif(
+    not _numpy_on_openblas_x86_64(), reason="needs numpy on OpenBLAS, x86-64"
+)
+def test_normal_form_bytes_do_not_depend_on_the_openblas_kernel(tmp_path):
+    # OpenBLAS picks its kernel at run time; Prescott's ddot and dgemv round
+    # differently from the newer kernels, so any BLAS call left in svd3 or
+    # normal_form changes the digest
+    rng = np.random.default_rng(61)
+    rows = []
+    for _ in range(64):
+        qa, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        qb, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        s = rng.uniform(0, 1)
+        a, b = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+        for t in (
+            qa @ np.diag([1.0, s, -s]) @ qb.T,  # pure state: repeated sigma
+            np.outer(a, b),  # product state: rank 1
+            rng.uniform(-1, 1, (3, 3)),
+        ):
+            rows.append(np.concatenate([a, b, t.ravel()]))
+    inputs = tmp_path / "fano.npy"
+    np.save(inputs, np.array(rows))
+
+    def digest(**env):
+        child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        result = subprocess.run(
+            [sys.executable, "-c", _DIGEST_CHILD, str(inputs)],
+            capture_output=True, text=True, env={**child_env, **env},
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout
+
+    assert digest(OPENBLAS_CORETYPE="Prescott") == digest()

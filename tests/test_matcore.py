@@ -241,3 +241,75 @@ def test_commutator_and_norm():
     assert np.allclose(commutator(SIGMA_X, SIGMA_Y), 2j * SIGMA_Z)
     assert frob_norm(np.zeros((4, 4))) == 0.0
     assert abs(frob_norm(np.eye(4)) - 2.0) <= 1e-15
+
+
+# svd3(t) by repr: the sweep and the completion call no BLAS, so these bytes
+# hold under every OpenBLAS kernel
+SVD3_PINNED = [
+    (
+        [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        "([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [0.0, 0.0, 0.0], "
+        "[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])",
+    ),
+    (
+        # rank 1: the outer product of (0.6, -0.8, 0) and (0.3, 0.4, -0.5)
+        [[0.18, 0.24, -0.3], [-0.24, -0.32, 0.4], [0.0, 0.0, 0.0]],
+        "([[0.6, 0.7999999999999999, 0.0], [-0.8, 0.6, 0.0], [0.0, 0.0, 1.0]], "
+        "[0.7071067811865475, 0.0, 0.0], "
+        "[[0.42426406871192845, 0.8, 0.42426406871192845], "
+        "[0.565685424949238, -0.6, 0.565685424949238], "
+        "[-0.7071067811865475, 0.0, 0.7071067811865475]])",
+    ),
+    (
+        # R diag(1, 1/2, -1/2) R^T for a rotation R: a repeated singular value
+        [[0.3344, -0.2208, 0.432], [-0.2208, 0.2056, 0.576], [0.432, 0.576, 0.46]],
+        "([[0.36, 0.7999999999999999, -0.4800000000000001], "
+        "[0.48, -0.6000000000000001, -0.64], [0.8, 1.1102230246251565e-16, 0.6]], "
+        "[1.0, 0.5, 0.49999999999999994], "
+        "[[0.36, 0.8, 0.48], [0.48, -0.6, 0.6400000000000001], [0.8, 0.0, -0.6]])",
+    ),
+    (
+        # det = -0.465
+        [[0.2, -0.7, 0.1], [0.5, 0.3, -0.4], [-0.6, 0.1, -0.8]],
+        "([[0.43246143749438687, -0.4852549217975771, 0.7599373434379414], "
+        "[-0.1676230467919375, 0.7848661368644507, 0.5965632082082007], "
+        "[-0.8859343199495527, -0.3853735954560204, 0.2580844293265732]], "
+        "[1.0729671410145825, 0.753783397012356, 0.5749366092809762], "
+        "[[0.49791026738010746, 0.6986174588529577, 0.5138278036689974], "
+        "[-0.41157211194839877, 0.7118768188565463, -0.5690692325552477], "
+        "[0.7633438034750819, -0.07186821940551938, -0.6419822402026986]])",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "t,expected", SVD3_PINNED, ids=["zero", "rank_1", "repeated", "det_negative"]
+)
+def test_svd3_pinned_reprs(t, expected):
+    u, s, v = svd3(t)
+    assert repr((u.tolist(), s.tolist(), v.tolist())) == expected
+
+
+def test_svd3_scale_sweep():
+    # random, rank-1 and repeated-singular-value inputs from 1e-300 to 1e152:
+    # the thresholds of an unscaled sweep underflow below about 1e-80 (no
+    # convergence) and overflow above about 1e80 (no rotation at all)
+    rng = np.random.default_rng(59)
+    for k, exponent in enumerate(range(-300, 153, 2)):
+        if k % 3 == 0:
+            t = rng.uniform(-1, 1, (3, 3))
+        elif k % 3 == 1:
+            t = np.outer(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
+        else:
+            qa, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            qb, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            t = qa @ np.diag([1.0, 0.5, -0.5]) @ qb.T
+        t = t * 10.0**exponent
+        u, s, v = svd3(t)
+        s_ref = np.linalg.svd(t, compute_uv=False)
+        assert frob_norm(u.T @ u - np.eye(3)) <= 1e-12, exponent
+        assert frob_norm(v.T @ v - np.eye(3)) <= 1e-12, exponent
+        # singular values at or below 1e-13 * max(1, s[0]) come out as 0
+        zeroed = s == 0.0
+        assert np.all(s_ref[zeroed] <= 1.01e-13 * max(1.0, s_ref[0])), exponent
+        assert np.all(np.abs(s - s_ref)[~zeroed] <= 1e-12 * s_ref[0]), exponent
