@@ -8,24 +8,20 @@ Both routes measure one number, ||[rho, rho_A @ I]||_F = 0.5 * sqrt(sum_j
 must agree to rounding, which keeps the equivalence under continuous test.
 Physicality is decided once, by fano.validate at the caller's tolerance,
 and the predicates then see the state's Hermitian part.  Zero discord is
-decided by a candidate measurement direction from the normal form, then
-verified exactly by the projective pinch identity.  Separability is
-decided by positivity of the partial transpose, exact for two qubits.
+decided by the rank of the Bloch vector beside the correlation matrix,
+read off one LAPACK SVD.  Separability is decided by positivity of the
+partial transpose, exact for two qubits.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fano import FanoParams, certify, compose, decompose, normal_form, validate
+from .fano import FanoParams, certify, decompose, validate
 from .matcore import (
     I2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     commutator,
     frob_norm,
     herm_eig,
@@ -34,7 +30,6 @@ from .matcore import (
     partial_trace_b,
     partial_transpose_b,
     qubit_spectrum,
-    swap_subsystems,
 )
 
 DEFAULT_TOL = 1e-9
@@ -99,42 +94,21 @@ def lazy_by_parallelism(p: FanoParams, tol: float = DEFAULT_TOL):
 def zero_discord_a(p: FanoParams, tol: float = DEFAULT_TOL):
     """Zero discord with respect to the first qubit.
 
-    The only measurement directions that can work are the x direction (when
-    t vanishes) or the single left singular axis of t (when t has rank one);
-    two or more nonzero singular values rule discord in.  A successful
-    candidate n is verified exactly against the projective pinch
+    A 2-qubit state has zero discord with respect to A exactly when the
+    3x4 matrix M = [x | t] has rank at most one (Dakić, Vedral, Brukner,
+    PRL 105, 190502, 2010), so the verdict is sigma_2(M) <= tol, absolute.
+    The measurement direction is then the leading left singular vector n of
+    M: the projective pinch along n,
 
-        rho == (P0@I) rho (P0@I) + (P1@I) rho (P1@I),  P± = (I ± n.s)/2
+        rho -> (P0@I) rho (P0@I) + (P1@I) rho (P1@I),  P± = (I ± n.s)/2,
 
-    and returned rotated back into the original frame.
+    moves rho by exactly 0.5 * hypot(sigma_2, sigma_3) in Frobenius norm.
     Returns (verdict, n-or-None).
     """
-    nf = normal_form(p)
-    k = int(np.sum(nf.sigma > tol))
-    x_rot = nf.x_rot
-    xn = float(np.linalg.norm(x_rot))
-    n_rot = None
-    if k == 0:
-        n_rot = x_rot / xn if xn > tol else np.array([0.0, 0.0, 1.0])
-    elif k == 1:
-        # ascending sigma puts the only nonzero singular axis last
-        perp = math.hypot(float(x_rot[0]), float(x_rot[1]))
-        if perp <= tol:
-            n_rot = np.array([0.0, 0.0, 1.0])
-    if n_rot is None:
+    u, s, _ = np.linalg.svd(np.column_stack((p.x, p.t)), full_matrices=False)
+    if s[1] > tol:
         return False, None
-
-    n = nf.o_a.T @ n_rot
-    rho = compose(p)
-    n_sigma = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
-    pi0 = kron((I2 + n_sigma) / 2.0, I2)
-    pi1 = kron((I2 - n_sigma) / 2.0, I2)
-    residual = frob_norm(rho - pi0 @ rho @ pi0 - pi1 @ rho @ pi1)
-    if residual > 10.0 * tol:
-        raise ConsistencyError(
-            f"zero-discord candidate failed the pinch check (residual {residual:.3e})"
-        )
-    return True, n
+    return True, u[:, 0]
 
 
 def is_product(rho, tol: float = DEFAULT_TOL):
@@ -237,8 +211,3 @@ def classify(rho, tol: float = DEFAULT_TOL) -> Classification:
         diagnostics=diagnostics,
         lazy_gray_zone=lazy_c != lazy_p,
     )
-
-
-def classify_b(rho, tol: float = DEFAULT_TOL) -> Classification:
-    """Classification with the roles of the two qubits exchanged."""
-    return classify(swap_subsystems(np.asarray(rho, dtype=complex)), tol)

@@ -12,6 +12,8 @@ error, 3 classifier/dynamics inconsistency or a numerical solver failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -293,9 +295,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        # argparse drops the error of a failed write, so --help and --version
+        # print into a buffer that is written out here, where a closed
+        # stdout raises like any command's output
+        printed = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(printed):
+                args = _build_parser().parse_args(argv)
+        finally:
+            sys.stdout.write(printed.getvalue())
+            sys.stdout.flush()
         code = args.func(args)
         # flush inside the try: a reader that is gone fails here, not at exit
         sys.stdout.flush()

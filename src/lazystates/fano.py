@@ -163,7 +163,7 @@ def normal_form(p: FanoParams) -> NormalForm:
     column, which moves a sign onto d[0] when det t < 0.  Within a repeated
     singular value the rotation is a choice: o_a, o_b and the components of
     x_rot and y_rot in that block follow it, and only their norm within the
-    block does not; the zero-discord test reads only sigma and such norms.
+    block does not.
     x_rot and y_rot are summed left to right like svd3's dot products, so
     every field depends on CPython float arithmetic, math.sqrt and
     math.hypot, and on no BLAS or LAPACK build.

@@ -1,15 +1,16 @@
 """Dense complex-matrix kernels for 2-qubit states.
 
 Everything here works on plain numpy arrays (complex128 for operators,
-float64 for the real 3x3 correlation blocks).  Hermitian eigenproblems go to
-LAPACK through numpy's eigh, except qubit marginals, whose spectrum has a
-closed form.  The one hand-written solver left is svd3, a one-sided Jacobi
-SVD kept for the local normal form: when singular values repeat, the
-singular vectors are not unique, and normal-form output pins the choice.
-svd3 makes that choice in CPython float arithmetic with math.sqrt and
-math.hypot, calling neither BLAS nor LAPACK, so it is the same whichever
-kernel OpenBLAS picks at run time.  Both solvers raise ValueError on
-non-finite input.
+float64 for the real 3x3 correlation blocks).  One kernel policy: every
+verdict comes from LAPACK or from a closed form.  Hermitian eigenproblems go
+to LAPACK through numpy's eigh, except qubit marginals, whose spectrum has a
+closed form; the zero-discord rank test takes numpy's LAPACK SVD.  The one
+hand-written solver is svd3, a one-sided Jacobi SVD that serves only the
+local normal form: when singular values repeat, the singular vectors are
+not unique, and normal-form output pins the choice.  svd3 makes that
+choice in CPython float arithmetic with math.sqrt and math.hypot, calling
+neither BLAS nor LAPACK, so it is the same whichever kernel OpenBLAS picks
+at run time.  herm_eig and svd3 raise ValueError on non-finite input.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
-"""Seeded random ensembles used by the tests and the dynamics self-checks."""
+"""Seeded random ensembles for the tests."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .belldiag import bd_spectrum
-from .families import LazyDiscordantParams, SeparableFamilyParams, _qubit
-from .matcore import kron
+from lazystates.belldiag import bd_spectrum
+from lazystates.families import LazyDiscordantParams, SeparableFamilyParams, _qubit
+from lazystates.matcore import kron
 
 
 def ginibre_state(rng: np.random.Generator):
@@ -35,14 +35,30 @@ def random_local_unitary(rng: np.random.Generator):
     return kron(haar_unitary(rng), haar_unitary(rng))
 
 
+def _unit_vector(rng: np.random.Generator):
+    v = rng.standard_normal(3)
+    return v / np.linalg.norm(v)
+
+
+def _bloch(rng: np.random.Generator, max_bloch: float):
+    return _unit_vector(rng) * rng.uniform(0.0, max_bloch)
+
+
 def random_product_state(rng: np.random.Generator, max_bloch: float = 0.8):
     """Product of two qubit states with Bloch norms at most max_bloch."""
-    def bloch():
-        v = rng.standard_normal(3)
-        v /= np.linalg.norm(v)
-        return v * rng.uniform(0.0, max_bloch)
+    return kron(_qubit(_bloch(rng, max_bloch)), _qubit(_bloch(rng, max_bloch)))
 
-    return kron(_qubit(bloch()), _qubit(bloch()))
+
+def random_classical_quantum_state(rng: np.random.Generator, max_bloch: float = 0.8):
+    """p |n><n| @ rho_1 + (1-p) |-n><-n| @ rho_2 for a random axis n of A.
+
+    Measuring A along n leaves the state unchanged: zero discord wrt A.
+    """
+    n = _unit_vector(rng)
+    p = rng.uniform(0.1, 0.9)
+    return p * kron(_qubit(n), _qubit(_bloch(rng, max_bloch))) + (1.0 - p) * kron(
+        _qubit(-n), _qubit(_bloch(rng, max_bloch))
+    )
 
 
 def random_bell_diagonal_point(rng: np.random.Generator, min_eig: float = 0.0):

@@ -21,6 +21,7 @@ from lazystates.classify import (
     lazy_by_commutator,
     lazy_by_parallelism,
     separable_ppt,
+    zero_discord_a,
 )
 from lazystates.dynamics import entropy_rate_at_zero, random_hamiltonian
 from lazystates.families import (
@@ -34,7 +35,8 @@ from lazystates.families import (
 )
 from lazystates.fano import decompose
 from lazystates.matcore import herm_eig
-from lazystates.sampling import (
+from oracles import pinch_residual
+from sampling import (
     ginibre_state,
     random_bell_diagonal_point,
     random_lazy_discordant_params,
@@ -87,8 +89,15 @@ def test_criterion_1_route_equivalence():
     )
 
 
+def _zero_discord_pinch(rho):
+    """Pinch residual along the measurement direction zero_discord_a returns."""
+    _, n = zero_discord_a(decompose(rho), TOL)
+    return pinch_residual(rho, n)
+
+
 def test_criterion_2_hierarchy_inclusions():
     violations = 0
+    worst_pinch = 0.0
     for rho in _ginibre_batch():
         cls = classify(rho, TOL)
         if not cls.physical:
@@ -100,10 +109,12 @@ def test_criterion_2_hierarchy_inclusions():
             violations += 1
         if cls.zero_discord_a and not cls.separable:
             violations += 1
+        if cls.zero_discord_a:
+            worst_pinch = max(worst_pinch, _zero_discord_pinch(rho))
     _report(
         "criterion 2: product => zero-discord => lazy and zero-discord => separable",
-        violations == 0,
-        f"violations={violations}",
+        violations == 0 and worst_pinch <= TOL,
+        f"violations={violations}, worst zero-discord pinch residual {worst_pinch:.1e}",
     )
 
 
@@ -216,6 +227,7 @@ def _case_boundary_margin(s):
 
 def test_criterion_6_family_closed_forms():
     worst = 0.0
+    worst_pinch = 0.0
     label_mismatches = 0
     compared = 0
     grid_p = np.linspace(0.1, 0.9, 7)
@@ -249,11 +261,15 @@ def test_criterion_6_family_closed_forms():
                             ok = not cls.lazy_a
                         if not ok:
                             label_mismatches += 1
+                        if cls.zero_discord_a:
+                            worst_pinch = max(worst_pinch, _zero_discord_pinch(rho))
     _report(
         "criterion 6: family closed forms within 1e-12 and labels match the classifier",
-        worst <= 1e-12 and label_mismatches == 0 and compared >= 10_000,
+        worst <= 1e-12 and label_mismatches == 0 and compared >= 10_000
+        and worst_pinch <= TOL,
         f"max closed-form error {worst:.2e}, label mismatches {label_mismatches} "
-        f"over {compared} off-boundary grid points",
+        f"over {compared} off-boundary grid points, worst zero-discord pinch "
+        f"residual {worst_pinch:.1e}",
     )
 
 

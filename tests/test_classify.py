@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+from lazystates import fano, matcore
+
 from lazystates.classify import (
     classify,
-    classify_b,
     is_product,
     lazy_by_commutator,
     lazy_by_parallelism,
@@ -14,9 +17,11 @@ from lazystates.classify import (
 from lazystates.families import SeparableFamilyParams, separable_compose
 from lazystates.fano import FanoParams, compose, decompose, validate
 from lazystates.matcore import I2, PAULIS, frob_norm, kron, swap_subsystems
-from lazystates.sampling import (
+from oracles import pinch_residual
+from sampling import (
     ginibre_state,
     random_bell_diagonal_point,
+    random_classical_quantum_state,
     random_lazy_discordant_params,
     random_local_unitary,
     random_product_state,
@@ -153,6 +158,61 @@ def test_zero_discord_classical_mixture():
         verdict, n = zero_discord_a(decompose(rho))
         assert verdict
         assert abs(abs(n[2]) - 1.0) <= 1e-9
+
+
+def test_pinch_residual_is_half_the_tail_of_x_beside_t():
+    # along the returned n the pinch moves rho by 0.5 * hypot(sigma_2,
+    # sigma_3) of [x | t]; tol = 2 lies above sigma_2 of every physical
+    # state (||[x | t]||_F^2 <= 3), so every state gets its n
+    rng = np.random.default_rng(97)
+    states = [ginibre_state(rng) for _ in range(100)]
+    states += [random_product_state(rng) for _ in range(50)]
+    states += [random_classical_quantum_state(rng) for _ in range(50)]
+    states += [
+        lazy_discordant_compose(random_lazy_discordant_params(rng)) for _ in range(50)
+    ]
+    states += [bd_compose(random_bell_diagonal_point(rng)) for _ in range(50)]
+    zero_discord = 0
+    for rho in states:
+        p = decompose(rho)
+        s = np.linalg.svd(np.column_stack((p.x, p.t)), compute_uv=False)
+        verdict, n = zero_discord_a(p, 2.0)
+        assert verdict
+        assert abs(pinch_residual(rho, n) - 0.5 * math.hypot(s[1], s[2])) <= 1e-12
+        verdict, n = zero_discord_a(p)
+        if verdict:
+            zero_discord += 1
+            assert pinch_residual(rho, n) <= 1e-9
+    assert zero_discord == 100  # the product and classical-quantum states
+
+
+def test_classify_makes_no_svd3_call(monkeypatch, bell_phi_plus, maximally_mixed):
+    def no_svd3(t):
+        raise AssertionError("classify reached svd3")
+
+    monkeypatch.setattr(fano, "svd3", no_svd3)
+    monkeypatch.setattr(matcore, "svd3", no_svd3)
+    rng = np.random.default_rng(103)
+    states = [bell_phi_plus, maximally_mixed, ginibre_state(rng)]
+    states += [random_product_state(rng), random_classical_quantum_state(rng)]
+    assert [classify(rho).zero_discord_a for rho in states] == [False, True, False, True, True]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+@pytest.mark.parametrize("a,sigma", [(0.3, 0.5), (0.6, 0.1)])
+def test_zero_discord_flips_where_sigma_2_crosses_tol(a, sigma, tol):
+    # x = a e1 + eps e2 beside t = sigma e1 e1^T: sigma_1 sigma_2 = sigma eps
+    # and sigma_1^2 + sigma_2^2 = a^2 + sigma^2 + eps^2 for [x | t], so eps
+    # below sets sigma_2 to s2.  At a = 0.6, sigma = 0.1, eps is about 6 s2:
+    # a rule that read eps against tol would flip at a sixth of tol
+    for factor, expected in ((0.5, True), (1.5, False)):
+        s2 = factor * tol
+        eps = s2 * math.sqrt((a * a + sigma * sigma - s2 * s2) / (sigma * sigma - s2 * s2))
+        p = FanoParams([a, eps, 0.0], np.zeros(3), np.diag([sigma, 0.0, 0.0]))
+        s = np.linalg.svd(np.column_stack((p.x, p.t)), compute_uv=False)
+        assert abs(s[1] - s2) <= 1e-6 * s2
+        assert zero_discord_a(p, tol)[0] is expected
+        assert classify(compose(p), tol).zero_discord_a is expected
 
 
 def test_is_product_examples(bell_phi_plus):
@@ -325,6 +385,9 @@ def test_classify_b_swaps_roles():
     dn = (I2 - PAULIS[2]) / 2
     plus = (I2 + PAULIS[0]) / 2
     rho = 0.5 * kron(up, plus) + 0.5 * kron(dn, up)
-    assert classify(rho).zero_discord_a
-    assert not classify_b(rho).zero_discord_a
-    assert classify_b(rho).zero_discord_a == classify(swap_subsystems(rho)).zero_discord_a
+    a, b = classify(rho), classify(swap_subsystems(rho))
+    assert a.zero_discord_a
+    assert not b.zero_discord_a
+    # the symmetric predicates do not see the exchange
+    for f in ("physical", "pure", "product", "separable"):
+        assert getattr(a, f) == getattr(b, f), f

@@ -200,6 +200,9 @@ def test_state_far_below_unit_scale():
         ("classify", str(FIXTURES / "bell.json")),
         ("bd", "census", "--samples", "1000", "--seed", "1"),
         ("bd", "classify", "--lambda", "0,0,0.5"),
+        # argparse prints these itself, before any command runs
+        ("--help",),
+        ("--version",),
     ],
 )
 def test_exit_141_when_stdout_is_closed(args):
@@ -214,6 +217,14 @@ def test_exit_141_when_stdout_is_closed(args):
         os.close(write_end)
     assert result.returncode == 141
     assert result.stderr == "error: stdout was closed before the output was written\n"
+
+
+def test_help_and_version_on_an_open_stdout():
+    result = run_cli("--version")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "0.1.0\n", "")
+    result = run_cli("--help")
+    assert result.returncode == 0 and result.stderr == ""
+    assert result.stdout.startswith("usage: lazystates [-h] [--version]")
 
 
 def test_exit_2_parse_errors():

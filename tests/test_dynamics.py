@@ -33,7 +33,7 @@ from lazystates.matcore import (
     partial_trace_b,
     qubit_spectrum,
 )
-from lazystates.sampling import (
+from sampling import (
     ginibre_state,
     random_bell_diagonal_point,
     random_lazy_discordant_params,

@@ -16,7 +16,7 @@ from lazystates.families import (
 )
 from lazystates.fano import decompose
 from lazystates.matcore import frob_norm, herm_eig, partial_trace_b
-from lazystates.sampling import random_separable_params
+from sampling import random_separable_params
 
 # expected spectrum of the (0.5, 0.3, 0.4) state: (1 ± sqrt(0.74))/4 and
 # (1 ± sqrt(0.26))/4, frozen from the closed form

@@ -17,7 +17,7 @@ from lazystates.matcore import (
     herm_eig,
     kron,
 )
-from lazystates.sampling import ginibre_state, random_product_state
+from sampling import ginibre_state, random_product_state
 
 
 def pauli_traces_reference(rho):
@@ -237,3 +237,22 @@ def test_normal_form_bytes_do_not_depend_on_the_openblas_kernel(tmp_path):
         return result.stdout
 
     assert digest(OPENBLAS_CORETYPE="Prescott") == digest()
+
+
+@pytest.mark.skipif(
+    not _numpy_on_openblas_x86_64(), reason="needs numpy on OpenBLAS, x86-64"
+)
+@pytest.mark.parametrize("state", ["bell", "maximally_mixed"])
+def test_classify_goldens_hold_under_the_prescott_kernel(state):
+    # every classify verdict and witness comes from LAPACK (eigh, and gesdd
+    # for zero discord) or a closed form; the goldens were recorded under
+    # SkylakeX, whose kernels round differently from Prescott's
+    here = os.path.dirname(os.path.abspath(__file__))
+    result = subprocess.run(
+        [sys.executable, "-m", "lazystates", "classify",
+         os.path.join(here, "fixtures", f"{state}.json")],
+        capture_output=True, text=True, env={**os.environ, "OPENBLAS_CORETYPE": "Prescott"},
+    )
+    assert result.returncode == 0, result.stderr
+    with open(os.path.join(here, "golden", f"classify_{state}.txt")) as golden:
+        assert result.stdout == golden.read()

@@ -22,7 +22,7 @@ from lazystates.matcore import (
     svd3,
     swap_subsystems,
 )
-from lazystates.sampling import ginibre_state, random_hermitian
+from sampling import ginibre_state, random_hermitian
 
 
 def test_kron_identities():

@@ -27,7 +27,7 @@ from lazystates.classify import classify
 from lazystates.families import lazy_discordant_compose
 from lazystates.matcore import kron
 from lazystates.stateio import state_from_dict
-from lazystates.sampling import (
+from sampling import (
     ginibre_state,
     random_bell_diagonal_point,
     random_lazy_discordant_params,
