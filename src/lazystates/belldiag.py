@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .matcore import PAULIS, kron
+from .matcore import PAULIS, _require_tol, kron
 
 BOUNDARY_TOL = 1e-9
 
@@ -134,7 +134,8 @@ def _label_chunk(lam, tol, codes, boundary):
 
 
 def bd_region(lam, tol: float = BOUNDARY_TOL) -> str:
-    """Region label of one cube point."""
+    """Region label of one cube point; tol must be finite and > 0."""
+    _require_tol(tol, "bd_region", "tol")
     codes, _ = _label_points(np.asarray(lam, dtype=float).reshape(1, 3), tol)
     return REGION_LABELS[codes[0]]
 
@@ -144,15 +145,13 @@ def _block_points(seed, block_index, count):
     return np.random.default_rng(seq).uniform(-1.0, 1.0, size=(count, 3))
 
 
-def bd_census(
-    samples: int, seed: int, workers: int = 1, tol: float = BOUNDARY_TOL
-) -> CensusReport:
+def bd_census(samples: int, seed: int, workers: int = 1) -> CensusReport:
     """Label uniform samples of the cube [-1,1]^3.
 
     Deterministic in (samples, seed): sample i lives in block i // 65536 and
     each block draws from its own seeded stream, so the counts are identical
-    for any worker count.  Samples within tol of a region boundary are tallied
-    separately as boundary hits (they still receive their label).
+    for any worker count.  Samples within BOUNDARY_TOL of a region boundary
+    are tallied separately as boundary hits (they still receive their label).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -165,7 +164,7 @@ def bd_census(
 
     def _work(block):
         bi, count = block
-        codes, boundary = _label_points(_block_points(seed, bi, count), tol)
+        codes, boundary = _label_points(_block_points(seed, bi, count), BOUNDARY_TOL)
         return np.bincount(codes, minlength=5), int(boundary.sum())
 
     counts = np.zeros(5, dtype=np.int64)
@@ -196,7 +195,7 @@ def bd_census(
     )
 
 
-def bd_slice(axis: int, value: float, grid: int, tol: float = BOUNDARY_TOL) -> SliceGrid:
+def bd_slice(axis: int, value: float, grid: int) -> SliceGrid:
     """Label a (grid x grid) plane lam_axis = value, row-major.
 
     The two free coordinates run over linspace(-1, 1, grid); rows index the
@@ -215,7 +214,7 @@ def bd_slice(axis: int, value: float, grid: int, tol: float = BOUNDARY_TOL) -> S
     pts[:, axis - 1] = value
     pts[:, free[0] - 1] = f1.ravel()
     pts[:, free[1] - 1] = f2.ravel()
-    codes, _ = _label_points(pts, tol)
+    codes, _ = _label_points(pts, BOUNDARY_TOL)
     labels = np.array(REGION_LABELS, dtype=object)[codes].reshape(grid, grid).tolist()
     return SliceGrid(
         axis=axis,

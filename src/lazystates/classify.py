@@ -6,7 +6,7 @@ Bloch vector x is parallel to every column of the correlation matrix T.
 Both routes measure one number, ||[rho, rho_A @ I]||_F = 0.5 * sqrt(sum_j
 |x cross T[:,j]|^2), from the matrices and from the Bloch parameters; they
 must agree to rounding, which keeps the equivalence under continuous test.
-Physicality is decided once, by fano.validate at the caller's tolerance,
+Physicality is decided once, by fano's state gate at the caller's tol,
 and the predicates then see the state's Hermitian part.  Zero discord is
 decided by the rank of the Bloch vector beside the correlation matrix,
 read off one LAPACK SVD.  Separability is decided by positivity of the
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fano import FanoParams, certify, decompose, validate
+from .fano import FanoParams, _fano_params, _gate, certify
 from .matcore import (
     I2,
     commutator,
@@ -153,14 +153,16 @@ def pure_schmidt(rho, tol: float = DEFAULT_TOL):
 def classify(rho, tol: float = DEFAULT_TOL) -> Classification:
     """Run every hierarchy predicate on one state.
 
-    Unphysical input (fano.validate at tol) yields physical=False with the
-    other verdicts absent.  The commutator and parallelism witnesses must
-    agree to rounding, or ConsistencyError is raised; the commutator (the
-    defining quantity) decides lazy_a, and lazy_gray_zone flags the rounding
-    case where the two witnesses fall on either side of tol.
+    fano's state gate runs once: a tol that is not finite and > 0, a shape
+    other than 4x4 or a non-finite entry raises ValueError, and unphysical
+    input yields physical=False with the other verdicts absent.  The
+    commutator and parallelism witnesses must agree to rounding, or
+    ConsistencyError is raised; the commutator (the defining quantity)
+    decides lazy_a, and lazy_gray_zone flags the rounding case where the
+    two witnesses fall on either side of tol.
     """
-    rho = np.asarray(rho, dtype=complex)
-    rep = validate(rho, tol)
+    g = _gate(rho, "classify", tol)
+    rep = g.report
     diagnostics = {
         "hermiticity_residual": rep.hermiticity_residual,
         "trace_deviation": rep.trace_deviation,
@@ -178,8 +180,8 @@ def classify(rho, tol: float = DEFAULT_TOL) -> Classification:
             diagnostics=diagnostics,
         )
 
-    rho = (rho + rho.conj().T) / 2.0
-    params = decompose(rho, tol)
+    rho = g.herm
+    params = _fano_params(rho)
     comm_norm = _commutator_witness(rho)
     lazy_p, residual = lazy_by_parallelism(params, tol)
     if abs(comm_norm - residual) > _ROUTE_AGREEMENT * max(1.0, comm_norm):

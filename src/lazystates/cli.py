@@ -19,8 +19,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from ._version import __version__
 from .belldiag import bd_census, bd_region, bd_slice, census_to_csv, slice_to_csv
 from .classify import DEFAULT_TOL, ConsistencyError, classify

@@ -24,7 +24,7 @@ import numpy as np
 
 from .classify import DEFAULT_TOL, _commutator_witness
 from .fano import certify
-from .matcore import herm_eig, herm_exp, partial_trace_b
+from .matcore import _require_tol, herm_eig, herm_exp, partial_trace_b
 
 DEFAULT_STEP = 1e-4
 RATE_TOL_ZERO = 1e-6
@@ -201,12 +201,15 @@ def laziness_dynamics_check(
     Consistent means (lazy and max |rate| <= rate_tol) or (non-lazy and
     max |rate| > nonzero_tol).  An inconsistent result whose commutator norm
     falls in COMM_GRAY_ZONE is a boundary case to log, not a failure.
+    rate_tol and nonzero_tol must be finite and > 0.
     """
     if n_hamiltonians < 1:
         raise ValueError(
             "laziness_dynamics_check: n_hamiltonians must be at least 1 "
             f"(got {n_hamiltonians})"
         )
+    _require_tol(rate_tol, "laziness_dynamics_check", "rate_tol")
+    _require_tol(nonzero_tol, "laziness_dynamics_check", "nonzero_tol")
     # the check's one physicality gate; the witness and every rate then see
     # the Hermitian part
     rho = certify(rho, "laziness_dynamics_check")

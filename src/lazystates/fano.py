@@ -10,27 +10,33 @@ parameters as x -> Ox, y -> Oy, T -> O_a T O_b^T with O_a, O_b in SO(3), so
 T can be brought to diagonal form by local unitaries.  Because SO(3) pairs
 can only flip two signs of T at a time, the reachable diagonal d keeps one
 negative entry when det T < 0; its absolute values are the singular values.
+
+Every 4x4 input that should be a state passes one gate, _gate, once;
+validate, decompose, certify and classify each read their answer off it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .matcore import (
     I2,
     PAULIS,
+    _as_4x4,
+    _hermiticity,
+    _require_finite,
+    _require_tol,
     det3,
     dot3,
-    frob_norm,
     herm_eig,
-    hermiticity_residual,
     kron,
     svd3,
 )
 
-# hermiticity/trace acceptance for matrices entering the Pauli decomposition
+# default tolerance of the state gate: Hermiticity, trace and positivity
 STATE_TOL = 1e-9
 
 # 16-element tensor basis, index 4*i + j, element 0 the identity
@@ -76,25 +82,58 @@ class PhysicalityReport:
     min_eigenvalue: float
 
 
+class _Gated(NamedTuple):
+    rho: np.ndarray  # the input as a complex array
+    herm: np.ndarray  # its Hermitian part (rho + rho†)/2
+    overflow: bool  # ||rho||_F overflows to inf
+    hermitian: bool  # matcore's overflow-safe Hermiticity rule at tol
+    report: PhysicalityReport
+
+
+def _gate(rho, who: str, tol: float) -> _Gated:
+    """Judge one 4x4 input; every entry point that takes a state calls this.
+
+    Raises ValueError, naming `who` unless the shape is wrong, for a tol
+    that is not finite and > 0, a shape other than 4x4 or a non-finite
+    entry.  Entries beyond about 1e154 overflow ||rho||_F; such a matrix is
+    never Hermitian, and herm is then formed from rho * 2^-600, exact for
+    every entry above about 1e-128, which set the minimum eigenvalue.
+    """
+    _require_tol(tol, who, "tol")
+    rho = _as_4x4(rho)
+    _require_finite(rho, who)
+    hres, norm, hermitian = _hermiticity(rho, tol)
+    scale = 1.0 if norm < np.inf else 2.0**-600
+    m = rho * scale
+    herm = (m + m.conj().T) / 2.0
+    w, _ = herm_eig(herm)
+    min_eig = float(w[0]) / scale
+    tdev = float(abs(np.trace(rho) - 1.0))
+    physical = hermitian and tdev <= tol and min_eig >= -tol
+    report = PhysicalityReport(physical, hres, tdev, min_eig)
+    return _Gated(rho, herm, scale != 1.0, hermitian, report)
+
+
+def _fano_params(m) -> FanoParams:
+    """(x, y, T) of a complex 4x4 matrix m, which is not checked."""
+    coeffs = np.einsum("kab,ba->k", PAULI_BASIS, m).real.reshape(4, 4)
+    return FanoParams(x=coeffs[1:, 0], y=coeffs[0, 1:], t=coeffs[1:, 1:])
+
+
 def decompose(rho, tol: float = STATE_TOL) -> FanoParams:
     """Extract (x, y, T) from a Hermitian unit-trace 4x4 matrix.
 
     x_i = tr(rho s_i@I), y_j = tr(rho I@s_j), T_ij = tr(rho s_i@s_j).
     Hermiticity and trace are checked at the same tolerances as validate.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    with np.errstate(over="ignore"):
-        hres, norm = hermiticity_residual(rho), frob_norm(rho)
-    if not norm < np.inf:
+    g = _gate(rho, "decompose", tol)
+    if g.overflow:
         raise ValueError("decompose: matrix too large, its norm overflows")
-    if hres > tol * max(1.0, norm):
+    if not g.hermitian:
         raise ValueError(f"decompose: matrix is not Hermitian within {tol:g}")
-    if abs(np.trace(rho) - 1.0) > tol:
+    if g.report.trace_deviation > tol:
         raise ValueError(f"decompose: matrix trace deviates from 1 beyond {tol:g}")
-    coeffs = np.einsum("kab,ba->k", PAULI_BASIS, rho).real.reshape(4, 4)
-    return FanoParams(x=coeffs[1:, 0], y=coeffs[0, 1:], t=coeffs[1:, 1:])
+    return _fano_params(g.rho)
 
 
 def compose(p: FanoParams):
@@ -110,33 +149,11 @@ def compose(p: FanoParams):
 def validate(rho, tol: float = STATE_TOL) -> PhysicalityReport:
     """Check Hermiticity, unit trace and positive semidefiniteness.
 
-    The minimum eigenvalue is reported for the symmetrized matrix even when
-    the Hermiticity check fails, so the report is always fully populated.
-    Entries beyond about 1e154 overflow the Frobenius norms to inf, silently
-    here and in decompose; such a matrix is never physical, because the
-    Hermiticity bound tol * inf would accept any residual.
+    The minimum eigenvalue is reported for the Hermitian part even when the
+    Hermiticity check fails, so the report is always fully populated.  A
+    bad tol, shape or non-finite entry raises ValueError (see _gate).
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    with np.errstate(over="ignore"):
-        hres, norm = hermiticity_residual(rho), frob_norm(rho)
-    # herm_eig refuses a norm that overflows; scaling by 2^-600 is exact for
-    # every entry above about 1e-128, and those set such a minimum
-    scale = 1.0 if norm < np.inf else 2.0**-600
-    m = rho * scale
-    w, _ = herm_eig((m + m.conj().T) / 2.0)
-    min_eig = float(w[0]) / scale
-    tdev = float(abs(np.trace(rho) - 1.0))
-    physical = (
-        norm < np.inf and hres <= tol * max(1.0, norm) and tdev <= tol and min_eig >= -tol
-    )
-    return PhysicalityReport(
-        physical=physical,
-        hermiticity_residual=hres,
-        trace_deviation=tdev,
-        min_eigenvalue=min_eig,
-    )
+    return _gate(rho, "validate", tol).report
 
 
 def certify(rho, who: str, tol: float = STATE_TOL):
@@ -145,14 +162,13 @@ def certify(rho, who: str, tol: float = STATE_TOL):
     Raises ValueError naming `who` when rho is unphysical at tol.  For an
     exactly Hermitian rho the result is bit-identical to rho.
     """
-    rep = validate(rho, tol)
-    if not rep.physical:
+    g = _gate(rho, who, tol)
+    if not g.report.physical:
         raise ValueError(
-            f"{who}: unphysical state (min eigenvalue {rep.min_eigenvalue:.3e}, "
-            f"trace deviation {rep.trace_deviation:.3e})"
+            f"{who}: unphysical state (min eigenvalue {g.report.min_eigenvalue:.3e}, "
+            f"trace deviation {g.report.trace_deviation:.3e})"
         )
-    rho = np.asarray(rho, dtype=complex)
-    return (rho + rho.conj().T) / 2.0
+    return g.herm
 
 
 def normal_form(p: FanoParams) -> NormalForm:

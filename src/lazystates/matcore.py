@@ -53,14 +53,19 @@ def hermiticity_residual(m) -> float:
     return float(np.linalg.norm(m - m.conj().T))
 
 
-def is_hermitian(m, tol: float = 1e-12) -> bool:
-    """True when ||m||_F is finite and ||m - m†||_F <= tol * max(1, ||m||_F).
-
-    A norm that overflows to inf would admit any residual, so it fails.
+def _hermiticity(m, tol):
+    """(||m - m†||_F, ||m||_F, verdict) under the one Hermiticity rule:
+    ||m||_F is finite and ||m - m†||_F <= tol * max(1, ||m||_F).  A norm
+    that overflows to inf would admit any residual, so it fails.
     """
     with np.errstate(over="ignore"):
         res, norm = hermiticity_residual(m), frob_norm(m)
-    return norm < np.inf and res <= tol * max(1.0, norm)
+    return res, norm, norm < np.inf and res <= tol * max(1.0, norm)
+
+
+def is_hermitian(m) -> bool:
+    """True when m is Hermitian within 1e-12 by _hermiticity's rule."""
+    return _hermiticity(m, 1e-12)[2]
 
 
 def _as_4x4(m):
@@ -97,19 +102,24 @@ def _require_finite(m, who):
         raise ValueError(f"{who}: input has non-finite entries")
 
 
-def herm_eig(m, tol: float = 1e-12):
+def _require_tol(value, who, name):
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{who}: {name} must be a finite number > 0 (got {value!r})")
+
+
+def herm_eig(m):
     """Eigendecomposition of a Hermitian matrix by LAPACK (numpy eigh).
 
     Returns (w, v) with w real ascending and m = v @ diag(w) @ v†.
 
     Raises ValueError when m has a non-finite entry, when its Frobenius norm
-    overflows, or when it is not Hermitian within tol * max(1, ||m||_F).
+    overflows, or when it is not Hermitian within 1e-12 * max(1, ||m||_F).
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     _require_finite(m, "herm_eig")
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise ValueError(
             "herm_eig: input is not Hermitian within tolerance, or its norm overflows"
         )

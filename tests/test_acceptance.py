@@ -5,7 +5,6 @@ Run under pytest, or standalone for the line-per-criterion report:
     python3 tests/test_acceptance.py
 """
 
-import json
 import math
 import subprocess
 import sys

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from lazystates.classify import (
 )
 from lazystates.families import SeparableFamilyParams, separable_compose
 from lazystates.fano import FanoParams, compose, decompose, validate
-from lazystates.matcore import I2, PAULIS, frob_norm, kron, swap_subsystems
+from lazystates.matcore import I2, PAULIS, kron, swap_subsystems
 from oracles import pinch_residual
 from sampling import (
     ginibre_state,
@@ -196,6 +197,22 @@ def test_classify_makes_no_svd3_call(monkeypatch, bell_phi_plus, maximally_mixed
     states = [bell_phi_plus, maximally_mixed, ginibre_state(rng)]
     states += [random_product_state(rng), random_classical_quantum_state(rng)]
     assert [classify(rho).zero_discord_a for rho in states] == [False, True, False, True, True]
+
+
+def test_classify_makes_no_decompose_call(monkeypatch, bell_phi_plus, maximally_mixed):
+    # the state gate has already checked what decompose would check
+    def no_decompose(rho, tol=None):
+        raise AssertionError("classify reached decompose")
+
+    rng = np.random.default_rng(107)
+    states = [bell_phi_plus, maximally_mixed, ginibre_state(rng)]
+    states += [random_product_state(rng), random_classical_quantum_state(rng)]
+    expected = [repr(classify(rho)) for rho in states]
+    monkeypatch.setattr(fano, "decompose", no_decompose)
+    # and the binding a module made when it imported the name
+    monkeypatch.setattr(sys.modules["lazystates.classify"], "decompose", no_decompose,
+                        raising=False)
+    assert [repr(classify(rho)) for rho in states] == expected
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-6])

@@ -29,7 +29,6 @@ from lazystates.matcore import (
     frob_norm,
     herm_eig,
     hermiticity_residual,
-    kron,
     partial_trace_b,
     qubit_spectrum,
 )

@@ -1,3 +1,4 @@
+import math
 import os
 import platform
 import subprocess
@@ -7,8 +8,16 @@ import warnings
 import numpy as np
 import pytest
 
-from lazystates.classify import classify
-from lazystates.fano import FanoParams, compose, decompose, normal_form, validate
+from lazystates.belldiag import bd_region
+from lazystates.classify import classify, lazy_by_commutator
+from lazystates.dynamics import (
+    entropy_a,
+    entropy_rate_at_zero,
+    evolve,
+    laziness_dynamics_check,
+    random_hamiltonian,
+)
+from lazystates.fano import FanoParams, certify, compose, decompose, normal_form, validate
 from lazystates.matcore import (
     I2,
     PAULIS,
@@ -119,6 +128,94 @@ def test_validate_reports_an_overflowing_state_unphysical(entry):
         rep = validate(rho)
     assert not rep.physical
     assert rep.min_eigenvalue == pytest.approx(-entry, rel=1e-12)
+
+
+# every public entry that takes a 4x4 state, called as its callers do
+GATED_ENTRIES = {
+    "validate": validate,
+    "decompose": decompose,
+    "certify": lambda rho: certify(rho, "certify"),
+    "classify": classify,
+    "lazy_by_commutator": lazy_by_commutator,
+    "evolve": lambda rho: evolve(rho, random_hamiltonian(0), 0.1),
+    "entropy_a": entropy_a,
+    "entropy_rate_at_zero": lambda rho: entropy_rate_at_zero(rho, random_hamiltonian(0)),
+    "laziness_dynamics_check": lambda rho: laziness_dynamics_check(rho, 2),
+}
+
+
+def _malformed(kind):
+    if kind == "3x3":
+        return np.eye(3, dtype=complex) / 3.0
+    rho = np.eye(4, dtype=complex) / 4.0
+    if kind in ("nan", "inf"):
+        rho[1, 1] = float(kind)
+    elif kind == "1e200":
+        rho[0, 1] = rho[1, 0] = 1e200
+    elif kind == "anti_hermitian":
+        rho[0, 1], rho[1, 0] = 1e-6, -1e-6
+    else:  # trace 1.1
+        rho *= 1.1
+    return rho
+
+
+# (min eigenvalue, trace deviation) of the unphysical inputs, and decompose's
+# finer message for each
+UNPHYSICAL = {
+    "1e200": ("-1.000e+200", "0.000e+00", "matrix too large, its norm overflows"),
+    "anti_hermitian": ("2.500e-01", "0.000e+00", "matrix is not Hermitian within 1e-09"),
+    "trace_1.1": ("2.750e-01", "1.000e-01", "matrix trace deviates from 1 beyond 1e-09"),
+}
+
+
+@pytest.mark.parametrize("kind", ["3x3", "nan", "inf", "1e200", "anti_hermitian", "trace_1.1"])
+@pytest.mark.parametrize("entry", list(GATED_ENTRIES))
+def test_every_entry_judges_a_malformed_state_by_one_gate(entry, kind):
+    rho = _malformed(kind)
+    if kind in UNPHYSICAL and entry in ("validate", "classify"):
+        # these two report an unphysical state rather than raise
+        result = GATED_ENTRIES[entry](rho)
+        report = vars(result) if entry == "validate" else result.diagnostics
+        assert not result.physical
+        assert (
+            f"{report['min_eigenvalue']:.3e}", f"{report['trace_deviation']:.3e}"
+        ) == UNPHYSICAL[kind][:2]
+        return
+    if kind == "3x3":
+        message = "expected a 4x4 matrix, got shape (3, 3)"
+    elif kind in ("nan", "inf"):
+        message = f"{entry}: input has non-finite entries"
+    elif entry == "decompose":
+        message = f"decompose: {UNPHYSICAL[kind][2]}"
+    else:
+        min_eig, tdev, _ = UNPHYSICAL[kind]
+        message = f"{entry}: unphysical state (min eigenvalue {min_eig}, trace deviation {tdev})"
+    with pytest.raises(ValueError) as exc:
+        GATED_ENTRIES[entry](rho)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+def test_library_calls_reject_a_tolerance_that_is_not_finite_and_positive(bell_phi_plus, bad):
+    calls = {
+        "classify: tol": lambda: classify(bell_phi_plus, tol=bad),
+        "validate: tol": lambda: validate(bell_phi_plus, tol=bad),
+        "decompose: tol": lambda: decompose(bell_phi_plus, tol=bad),
+        "certify: tol": lambda: certify(bell_phi_plus, "certify", tol=bad),
+        "lazy_by_commutator: tol": lambda: lazy_by_commutator(bell_phi_plus, tol=bad),
+        "bd_region: tol": lambda: bd_region([0.5, 0.5, -0.5], bad),
+        "laziness_dynamics_check: rate_tol": lambda: laziness_dynamics_check(
+            bell_phi_plus, 2, rate_tol=bad
+        ),
+        "laziness_dynamics_check: nonzero_tol": lambda: laziness_dynamics_check(
+            bell_phi_plus, 2, nonzero_tol=bad
+        ),
+    }
+    for prefix, call in calls.items():
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"{prefix} must be a finite number > 0 (got {bad!r})"
 
 
 def test_normal_form_examples():
