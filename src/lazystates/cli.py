@@ -34,7 +34,7 @@ from .families import (
     lazy_discordant_compose,
     separable_compose,
 )
-from .fano import certify, decompose, normal_form
+from .fano import STATE_TOL, _certified, _decomposed, _gate, normal_form
 from .stateio import StateFileError, load_state_file, save_state_file, state_to_dict
 
 EXIT_OK = 0
@@ -138,22 +138,13 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_normal_form(args) -> int:
-    rho = load_state_file(args.state)
-    # decompose first: an overflowing norm is reported as such, not as unphysical
-    p = decompose(rho)
-    certify(rho, "normal-form")
-    nf = normal_form(p)
-    _print_json(
-        {
-            "d": nf.d.tolist(),
-            "sigma": nf.sigma.tolist(),
-            "x_rot": nf.x_rot.tolist(),
-            "y_rot": nf.y_rot.tolist(),
-            "o_a": nf.o_a.tolist(),
-            "o_b": nf.o_b.tolist(),
-            "version": __version__,
-        }
-    )
+    # one gate pass, judged as decompose and then as certify would: an
+    # overflowing norm is reported as such, not as unphysical
+    g = _gate(load_state_file(args.state), "decompose", STATE_TOL)
+    p = _decomposed(g)
+    _certified(g, "normal-form")
+    fields = {key: value.tolist() for key, value in vars(normal_form(p)).items()}
+    _print_json({**fields, "version": __version__})
     return EXIT_OK
 
 

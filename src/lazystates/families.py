@@ -26,8 +26,6 @@ import numpy as np
 from .fano import FanoParams
 from .matcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, kron
 
-MIXTURE_LABELS = ("product", "zero_discord", "not_lazy")
-
 
 @dataclass(frozen=True)
 class LazyDiscordantParams:
@@ -133,15 +131,17 @@ def separable_fano(s: SeparableFamilyParams) -> FanoParams:
     return FanoParams(x=x, y=y, t=t)
 
 
-def separable_classify(s: SeparableFamilyParams, tol: float = 1e-9) -> str:
+def separable_classify(s: SeparableFamilyParams) -> str:
     """Closed-form label: product, zero_discord or not_lazy.
 
     Product when the two pure components coincide (alpha = 0) or the two
     second-qubit states coincide (b sin beta = 0 and a = b cos beta, which
     subsumes a = b = 0); zero-discord when the components are orthogonal
-    (alpha = pi); otherwise the state is not lazy.
+    (alpha = pi); otherwise the state is not lazy.  Each equality holds
+    within 1e-9, absolute.
     """
     check_separable_params(s)
+    tol = 1e-9
     same_b_state = (
         abs(s.b * math.sin(s.beta)) <= tol and abs(s.a - s.b * math.cos(s.beta)) <= tol
     )

@@ -12,7 +12,8 @@ can only flip two signs of T at a time, the reachable diagonal d keeps one
 negative entry when det T < 0; its absolute values are the singular values.
 
 Every 4x4 input that should be a state passes one gate, _gate, once;
-validate, decompose, certify and classify each read their answer off it.
+validate, decompose, certify and classify each read their answer off it,
+and normal-form reads both decompose's and certify's off one pass.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .matcore import (
     svd3,
 )
 
-# default tolerance of the state gate: Hermiticity, trace and positivity
+# the state gate's fixed tolerance in validate, decompose and certify
 STATE_TOL = 1e-9
 
 # 16-element tensor basis, index 4*i + j, element 0 the identity
@@ -46,16 +47,20 @@ PAULI_BASIS = np.stack([kron(a, b) for a in _P4 for b in _P4])
 
 @dataclass(frozen=True)
 class FanoParams:
-    """Bloch vectors x (first qubit), y (second qubit) and correlation matrix t."""
+    """Bloch vectors x (first qubit), y (second qubit) and correlation matrix t.
+
+    A non-finite entry raises ValueError when the parameters are built.
+    """
 
     x: np.ndarray
     y: np.ndarray
     t: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float).reshape(3))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float).reshape(3))
-        object.__setattr__(self, "t", np.asarray(self.t, dtype=float).reshape(3, 3))
+        for name, shape in (("x", 3), ("y", 3), ("t", (3, 3))):
+            value = np.asarray(getattr(self, name), dtype=float).reshape(shape)
+            _require_finite(value, "FanoParams")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -120,20 +125,24 @@ def _fano_params(m) -> FanoParams:
     return FanoParams(x=coeffs[1:, 0], y=coeffs[0, 1:], t=coeffs[1:, 1:])
 
 
-def decompose(rho, tol: float = STATE_TOL) -> FanoParams:
-    """Extract (x, y, T) from a Hermitian unit-trace 4x4 matrix.
-
-    x_i = tr(rho s_i@I), y_j = tr(rho I@s_j), T_ij = tr(rho s_i@s_j).
-    Hermiticity and trace are checked at the same tolerances as validate.
-    """
-    g = _gate(rho, "decompose", tol)
+def _decomposed(g: _Gated) -> FanoParams:
+    """decompose's answer from a gate result."""
     if g.overflow:
         raise ValueError("decompose: matrix too large, its norm overflows")
     if not g.hermitian:
-        raise ValueError(f"decompose: matrix is not Hermitian within {tol:g}")
-    if g.report.trace_deviation > tol:
-        raise ValueError(f"decompose: matrix trace deviates from 1 beyond {tol:g}")
+        raise ValueError(f"decompose: matrix is not Hermitian within {STATE_TOL:g}")
+    if g.report.trace_deviation > STATE_TOL:
+        raise ValueError(f"decompose: matrix trace deviates from 1 beyond {STATE_TOL:g}")
     return _fano_params(g.rho)
+
+
+def decompose(rho) -> FanoParams:
+    """Extract (x, y, T) from a Hermitian unit-trace 4x4 matrix.
+
+    x_i = tr(rho s_i@I), y_j = tr(rho I@s_j), T_ij = tr(rho s_i@s_j).
+    Hermiticity and trace are checked at validate's fixed STATE_TOL.
+    """
+    return _decomposed(_gate(rho, "decompose", STATE_TOL))
 
 
 def compose(p: FanoParams):
@@ -146,29 +155,33 @@ def compose(p: FanoParams):
     return np.einsum("k,kab->ab", coeffs.reshape(16), PAULI_BASIS) / 4.0
 
 
-def validate(rho, tol: float = STATE_TOL) -> PhysicalityReport:
-    """Check Hermiticity, unit trace and positive semidefiniteness.
+def validate(rho) -> PhysicalityReport:
+    """Check Hermiticity, unit trace and positive semidefiniteness at STATE_TOL.
 
     The minimum eigenvalue is reported for the Hermitian part even when the
     Hermiticity check fails, so the report is always fully populated.  A
-    bad tol, shape or non-finite entry raises ValueError (see _gate).
+    shape other than 4x4 or a non-finite entry raises ValueError (see _gate).
     """
-    return _gate(rho, "validate", tol).report
+    return _gate(rho, "validate", STATE_TOL).report
 
 
-def certify(rho, who: str, tol: float = STATE_TOL):
-    """The Hermitian part (rho + rho†)/2 of a state that validate passes.
-
-    Raises ValueError naming `who` when rho is unphysical at tol.  For an
-    exactly Hermitian rho the result is bit-identical to rho.
-    """
-    g = _gate(rho, who, tol)
+def _certified(g: _Gated, who: str):
+    """certify's answer from a gate result."""
     if not g.report.physical:
         raise ValueError(
             f"{who}: unphysical state (min eigenvalue {g.report.min_eigenvalue:.3e}, "
             f"trace deviation {g.report.trace_deviation:.3e})"
         )
     return g.herm
+
+
+def certify(rho, who: str):
+    """The Hermitian part (rho + rho†)/2 of a state that validate passes.
+
+    Raises ValueError naming `who` when rho is unphysical at STATE_TOL.  For
+    an exactly Hermitian rho the result is bit-identical to rho.
+    """
+    return _certified(_gate(rho, who, STATE_TOL), who)
 
 
 def normal_form(p: FanoParams) -> NormalForm:

@@ -1,6 +1,8 @@
 """Reference computations that the tests hold the package against."""
 
-from lazystates.matcore import I2, PAULIS, frob_norm, kron
+import numpy as np
+
+from lazystates.matcore import I2, PAULIS, frob_norm, kron, partial_trace_b, qubit_spectrum
 
 
 def pinch_residual(rho, n):
@@ -14,3 +16,15 @@ def pinch_residual(rho, n):
     pi0 = kron((I2 + n_sigma) / 2.0, I2)
     pi1 = kron((I2 - n_sigma) / 2.0, I2)
     return frob_norm(rho - pi0 @ rho @ pi0 - pi1 @ rho @ pi1)
+
+
+def schmidt_lazy(rho, tol):
+    """Laziness of a pure state rho from its Schmidt coefficients.
+
+    A pure state is lazy exactly when it is product or maximally entangled,
+    i.e. its Schmidt coefficients are (1, 0) or (1/sqrt2, 1/sqrt2).  The
+    rule reads their squares, the marginal's eigenvalues, which are well
+    conditioned where the square roots are not.
+    """
+    w = np.clip(qubit_spectrum(partial_trace_b(rho)), 0.0, None)
+    return bool(w[0] <= tol or (abs(w[0] - 0.5) <= tol and abs(w[1] - 0.5) <= tol))

@@ -69,8 +69,8 @@ def test_criterion_1_route_equivalence():
     disagreements = 0
     gray = 0
     for rho in _ginibre_batch():
-        lazy_c, comm = lazy_by_commutator(rho, TOL)
-        lazy_p, residual = lazy_by_parallelism(decompose(rho), TOL)
+        comm = lazy_by_commutator(rho)
+        residual = lazy_by_parallelism(decompose(rho))
         in_gray = (
             GRAY_RESIDUALS[0] <= comm <= GRAY_RESIDUALS[1]
             or GRAY_RESIDUALS[0] <= residual <= GRAY_RESIDUALS[1]
@@ -78,7 +78,7 @@ def test_criterion_1_route_equivalence():
         if in_gray:
             gray += 1
             print(f"  gray-zone state: commutator {comm:.3e}, residual {residual:.3e}")
-        elif lazy_c != lazy_p:
+        elif (comm <= TOL) != (residual <= TOL):
             disagreements += 1
     elapsed = time.perf_counter() - t0
     _report(
@@ -90,7 +90,7 @@ def test_criterion_1_route_equivalence():
 
 def _zero_discord_pinch(rho):
     """Pinch residual along the measurement direction zero_discord_a returns."""
-    _, n = zero_discord_a(decompose(rho), TOL)
+    _, n = zero_discord_a(decompose(rho))
     return pinch_residual(rho, n)
 
 
@@ -204,8 +204,8 @@ def test_criterion_5_spectrum_formula_and_ppt():
         octa_sum = float(np.abs(lam).sum())
         if formula[0] >= -TOL and abs(octa_sum - 1.0) > 1e-8:
             physical_seen += 1
-            verdict, _, _ = separable_ppt(bd_compose(lam), TOL)
-            if verdict != (octa_sum <= 1.0):
+            _, min_pt = separable_ppt(bd_compose(lam))
+            if (min_pt >= -TOL) != (octa_sum <= 1.0):
                 ppt_mismatches += 1
     _report(
         "criterion 5: closed-form spectrum matches the eigensolver; PPT <=> octahedron",
@@ -250,7 +250,7 @@ def test_criterion_6_family_closed_forms():
                         if _case_boundary_margin(s) < 1e-6:
                             continue
                         compared += 1
-                        label = separable_classify(s, TOL)
+                        label = separable_classify(s)
                         cls = classify(rho, TOL)
                         if label == "product":
                             ok = cls.product and cls.lazy_a
@@ -294,8 +294,7 @@ def _non_lazy_pool(rng, count):
             rho = separable_compose(random_separable_params(rng))
         else:
             rho = ginibre_state(rng)
-        _, comm = lazy_by_commutator(rho, TOL)
-        if comm > 1e-4:
+        if lazy_by_commutator(rho) > 1e-4:
             states.append(rho)
     return states
 

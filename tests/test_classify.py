@@ -1,5 +1,7 @@
+import hashlib
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from lazystates import fano, matcore
 
 from lazystates.classify import (
+    DEFAULT_TOL as TOL,
     classify,
     is_product,
     lazy_by_commutator,
@@ -15,17 +18,20 @@ from lazystates.classify import (
     separable_ppt,
     zero_discord_a,
 )
-from lazystates.families import SeparableFamilyParams, separable_compose
+from lazystates.families import SeparableFamilyParams, separable_classify, separable_compose
 from lazystates.fano import FanoParams, compose, decompose, validate
 from lazystates.matcore import I2, PAULIS, kron, swap_subsystems
-from oracles import pinch_residual
+from oracles import pinch_residual, schmidt_lazy
 from sampling import (
     ginibre_state,
+    haar_unitary,
     random_bell_diagonal_point,
     random_classical_quantum_state,
+    random_hermitian,
     random_lazy_discordant_params,
     random_local_unitary,
     random_product_state,
+    random_separable_params,
 )
 from lazystates.belldiag import bd_compose
 from lazystates.families import lazy_discordant_compose
@@ -41,12 +47,11 @@ def bloch_product(a, b):
 
 
 def test_lazy_by_commutator_examples(bell_phi_plus, maximally_mixed):
-    verdict, norm = lazy_by_commutator(maximally_mixed)
-    assert verdict and norm == 0.0
-    verdict, _ = lazy_by_commutator(bell_phi_plus)
-    assert verdict
-    verdict, norm = lazy_by_commutator(separable_compose(NOT_LAZY_WITNESS))
-    assert not verdict
+    norm = lazy_by_commutator(maximally_mixed)
+    assert norm <= TOL and norm == 0.0
+    assert lazy_by_commutator(bell_phi_plus) <= TOL
+    norm = lazy_by_commutator(separable_compose(NOT_LAZY_WITNESS))
+    assert norm > TOL
     assert norm > 0.01
 
 
@@ -63,27 +68,27 @@ def test_commutator_norm_closed_form():
     for _ in range(100):
         rho = ginibre_state(rng)
         p = decompose(rho)
-        _, norm = lazy_by_commutator(rho)
+        norm = lazy_by_commutator(rho)
         expected = 0.5 * np.sqrt(
             sum(np.linalg.norm(np.cross(p.x, p.t[:, j])) ** 2 for j in range(3))
         )
         assert abs(norm - expected) <= 1e-12
-        assert abs(lazy_by_parallelism(p)[1] - expected) <= 1e-12
+        assert abs(lazy_by_parallelism(p) - expected) <= 1e-12
 
 
 def test_lazy_by_parallelism_examples():
-    verdict, residual = lazy_by_parallelism(
+    residual = lazy_by_parallelism(
         FanoParams(np.zeros(3), np.zeros(3), np.random.default_rng(1).uniform(-1, 1, (3, 3)))
     )
-    assert verdict and residual == 0.0
+    assert residual <= TOL and residual == 0.0
 
     p = FanoParams([0.0, 0.0, 0.5], np.zeros(3), np.diag([0.0, 0.0, 0.7]))
-    verdict, residual = lazy_by_parallelism(p)
-    assert verdict and residual <= 1e-15
+    residual = lazy_by_parallelism(p)
+    assert residual <= TOL and residual <= 1e-15
 
     p = FanoParams([0.0, 0.0, 0.5], np.zeros(3), np.diag([0.0, 0.3, 0.7]))
-    verdict, residual = lazy_by_parallelism(p)
-    assert not verdict
+    residual = lazy_by_parallelism(p)
+    assert residual > TOL
     # cross product of x with column 2 is (-0.15, 0, 0), halved like the commutator
     assert abs(residual - 0.075) <= 1e-15
 
@@ -92,8 +97,8 @@ def test_route_equivalence_random():
     rng = np.random.default_rng(59)
     for _ in range(1000):
         rho = ginibre_state(rng)
-        v1, _ = lazy_by_commutator(rho)
-        v2, _ = lazy_by_parallelism(decompose(rho))
+        v1 = lazy_by_commutator(rho) <= TOL
+        v2 = lazy_by_parallelism(decompose(rho)) <= TOL
         assert v1 == v2
 
 
@@ -105,9 +110,9 @@ def test_route_equivalence_on_lazy_states():
         lazy_discordant_compose(random_lazy_discordant_params(rng)) for _ in range(50)
     ]
     for rho in states:
-        v1, n1 = lazy_by_commutator(rho)
-        v2, n2 = lazy_by_parallelism(decompose(rho))
-        assert v1 and v2
+        n1 = lazy_by_commutator(rho)
+        n2 = lazy_by_parallelism(decompose(rho))
+        assert n1 <= TOL and n2 <= TOL
         assert n1 <= 1e-12 and n2 <= 1e-12
 
 
@@ -126,22 +131,24 @@ def test_route_agreement_does_not_scale_with_tol():
 
 def test_zero_discord_product_state():
     rho = bloch_product([0.2, -0.1, 0.4], [0.0, 0.3, -0.2])
-    verdict, n = zero_discord_a(decompose(rho))
-    assert verdict
+    sigma_2, n = zero_discord_a(decompose(rho))
+    assert sigma_2 <= TOL
     assert abs(np.linalg.norm(n) - 1.0) <= 1e-12
 
 
 def test_zero_discord_bell_is_discordant(bell_phi_plus):
-    verdict, n = zero_discord_a(decompose(bell_phi_plus))
-    assert not verdict and n is None
+    # [x | t] = [0 | diag(1, -1, 1)]: three unit singular values
+    sigma_2, _ = zero_discord_a(decompose(bell_phi_plus))
+    assert sigma_2 > TOL
+    assert abs(sigma_2 - 1.0) <= 1e-12
 
 
 def test_zero_discord_two_singular_values():
     rho = lazy_discordant_compose(
         __import__("lazystates").LazyDiscordantParams(0.5, 0.3, 0.4)
     )
-    verdict, _ = zero_discord_a(decompose(rho))
-    assert not verdict
+    sigma_2, _ = zero_discord_a(decompose(rho))
+    assert sigma_2 > TOL
 
 
 def test_zero_discord_classical_mixture():
@@ -156,15 +163,15 @@ def test_zero_discord_classical_mixture():
         rho1 = (I2 + sum(b1[i] * PAULIS[i] for i in range(3))) / 2
         rho2 = (I2 + sum(b2[i] * PAULIS[i] for i in range(3))) / 2
         rho = p * kron(up, rho1) + (1 - p) * kron(dn, rho2)
-        verdict, n = zero_discord_a(decompose(rho))
-        assert verdict
+        sigma_2, n = zero_discord_a(decompose(rho))
+        assert sigma_2 <= TOL
         assert abs(abs(n[2]) - 1.0) <= 1e-9
 
 
 def test_pinch_residual_is_half_the_tail_of_x_beside_t():
     # along the returned n the pinch moves rho by 0.5 * hypot(sigma_2,
-    # sigma_3) of [x | t]; tol = 2 lies above sigma_2 of every physical
-    # state (||[x | t]||_F^2 <= 3), so every state gets its n
+    # sigma_3) of [x | t]; every state gets its n, and sigma_2 of a physical
+    # state lies below 2 (||[x | t]||_F^2 <= 3)
     rng = np.random.default_rng(97)
     states = [ginibre_state(rng) for _ in range(100)]
     states += [random_product_state(rng) for _ in range(50)]
@@ -177,11 +184,10 @@ def test_pinch_residual_is_half_the_tail_of_x_beside_t():
     for rho in states:
         p = decompose(rho)
         s = np.linalg.svd(np.column_stack((p.x, p.t)), compute_uv=False)
-        verdict, n = zero_discord_a(p, 2.0)
-        assert verdict
+        sigma_2, n = zero_discord_a(p)
+        assert sigma_2 <= 2.0
         assert abs(pinch_residual(rho, n) - 0.5 * math.hypot(s[1], s[2])) <= 1e-12
-        verdict, n = zero_discord_a(p)
-        if verdict:
+        if sigma_2 <= TOL:
             zero_discord += 1
             assert pinch_residual(rho, n) <= 1e-9
     assert zero_discord == 100  # the product and classical-quantum states
@@ -201,7 +207,7 @@ def test_classify_makes_no_svd3_call(monkeypatch, bell_phi_plus, maximally_mixed
 
 def test_classify_makes_no_decompose_call(monkeypatch, bell_phi_plus, maximally_mixed):
     # the state gate has already checked what decompose would check
-    def no_decompose(rho, tol=None):
+    def no_decompose(rho):
         raise AssertionError("classify reached decompose")
 
     rng = np.random.default_rng(107)
@@ -228,35 +234,34 @@ def test_zero_discord_flips_where_sigma_2_crosses_tol(a, sigma, tol):
         p = FanoParams([a, eps, 0.0], np.zeros(3), np.diag([sigma, 0.0, 0.0]))
         s = np.linalg.svd(np.column_stack((p.x, p.t)), compute_uv=False)
         assert abs(s[1] - s2) <= 1e-6 * s2
-        assert zero_discord_a(p, tol)[0] is expected
+        assert (zero_discord_a(p)[0] <= tol) is expected
         assert classify(compose(p), tol).zero_discord_a is expected
 
 
 def test_is_product_examples(bell_phi_plus):
     rho = bloch_product([0.2, -0.1, 0.4], [0.0, 0.3, -0.2])
-    verdict, residual = is_product(rho)
-    assert verdict and residual <= 1e-13
-    verdict, residual = is_product(bell_phi_plus)
-    assert not verdict
+    residual = is_product(rho)
+    assert residual <= TOL and residual <= 1e-13
+    residual = is_product(bell_phi_plus)
+    assert residual > TOL
     assert residual > 0.5
     # the family mixture collapses to a product when rho1 = rho2
     rho = separable_compose(SeparableFamilyParams(0.5, np.pi / 2, 0.0, 0.7, 0.7))
-    verdict, _ = is_product(rho)
-    assert verdict
+    assert is_product(rho) <= TOL
 
 
 def test_separable_ppt_examples(bell_phi_plus):
     rho = bloch_product([0.2, -0.1, 0.4], [0.0, 0.3, -0.2])
-    verdict, negativity, _ = separable_ppt(rho)
-    assert verdict and negativity <= 1e-12
+    negativity, min_pt = separable_ppt(rho)
+    assert min_pt >= -TOL and negativity <= 1e-12
 
-    verdict, negativity, min_pt = separable_ppt(bell_phi_plus)
-    assert not verdict
+    negativity, min_pt = separable_ppt(bell_phi_plus)
+    assert min_pt < -TOL
     assert abs(negativity - 0.5) <= 1e-12
     assert abs(min_pt + 0.5) <= 1e-12
 
-    verdict, negativity, _ = separable_ppt(bd_compose([0.3, 0.2, 0.1]))
-    assert verdict and negativity <= 1e-12  # inside the octahedron, |l| sum 0.6
+    negativity, min_pt = separable_ppt(bd_compose([0.3, 0.2, 0.1]))
+    assert min_pt >= -TOL and negativity <= 1e-12  # inside the octahedron, |l| sum 0.6
 
 
 def test_separable_ppt_octahedron_cross_check():
@@ -269,35 +274,39 @@ def test_separable_ppt_octahedron_cross_check():
             continue
         if abs(np.abs(lam).sum() - 1.0) <= 1e-9:
             continue
-        verdict, _, _ = separable_ppt(rho)
-        assert verdict == (np.abs(lam).sum() <= 1.0)
+        _, min_pt = separable_ppt(rho)
+        assert (min_pt >= -TOL) == (np.abs(lam).sum() <= 1.0)
         checked += 1
 
 
 def test_pure_schmidt_examples(bell_phi_plus):
     ket = np.zeros(4, dtype=complex)
     ket[0] = 1.0
-    pure, coeffs, lazy = pure_schmidt(np.outer(ket, ket.conj()))
-    assert pure and lazy
+    rho = np.outer(ket, ket.conj())
+    purity, coeffs = pure_schmidt(rho)
+    assert not purity < 1.0 - TOL and schmidt_lazy(rho, TOL)
     assert np.allclose(coeffs, [1.0, 0.0], atol=1e-9)
 
-    pure, coeffs, lazy = pure_schmidt(bell_phi_plus)
-    assert pure and lazy
+    purity, coeffs = pure_schmidt(bell_phi_plus)
+    assert not purity < 1.0 - TOL and schmidt_lazy(bell_phi_plus, TOL)
     assert np.allclose(coeffs, [1 / np.sqrt(2)] * 2, atol=1e-9)
 
     theta = np.pi / 8
     ket = np.zeros(4, dtype=complex)
     ket[0], ket[3] = np.cos(theta), np.sin(theta)
     rho = np.outer(ket, ket.conj())
-    pure, _, lazy = pure_schmidt(rho)
-    assert pure and not lazy
-    verdict, norm = lazy_by_commutator(rho)
-    assert not verdict and norm > 0.0
+    purity, _ = pure_schmidt(rho)
+    assert not purity < 1.0 - TOL and not schmidt_lazy(rho, TOL)
+    norm = lazy_by_commutator(rho)
+    assert norm > TOL and norm > 0.0
 
 
 def test_pure_schmidt_mixed_state(maximally_mixed):
-    pure, coeffs, lazy = pure_schmidt(maximally_mixed)
-    assert not pure and coeffs is None and lazy is None
+    # the coefficients come back for any state; only a pure one has a
+    # Schmidt decomposition for them to belong to
+    purity, coeffs = pure_schmidt(maximally_mixed)
+    assert purity < 1.0 - TOL and purity == 0.25
+    assert np.allclose(coeffs, [1 / np.sqrt(2)] * 2, atol=1e-12)
 
 
 def test_classify_fixtures(bell_phi_plus, maximally_mixed):
@@ -408,3 +417,147 @@ def test_classify_b_swaps_roles():
     # the symmetric predicates do not see the exchange
     for f in ("physical", "pure", "product", "separable"):
         assert getattr(a, f) == getattr(b, f), f
+
+
+def _pure(ket):
+    return np.outer(ket, ket.conj())
+
+
+def _rotated_bell(rng):
+    u = random_local_unitary(rng)
+    return u @ _pure(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)) @ u.conj().T
+
+
+# every generator of tests/sampling.py, and three kinds of pure state
+CORPUS_KINDS = {
+    "ginibre": ginibre_state,
+    "hermitian": random_hermitian,
+    "product": random_product_state,
+    "classical_quantum": random_classical_quantum_state,
+    "bell_diagonal": lambda rng: bd_compose(random_bell_diagonal_point(rng)),
+    "lazy_discordant": lambda rng: lazy_discordant_compose(random_lazy_discordant_params(rng)),
+    "separable_family": lambda rng: separable_compose(random_separable_params(rng)),
+    "pure": lambda rng: _pure(haar_unitary(rng, 4)[:, 0]),
+    "pure_product": lambda rng: _pure(random_local_unitary(rng)[:, 0]),
+    "pure_bell": _rotated_bell,
+}
+CORPUS_FIELDS = (
+    "physical", "pure", "product", "zero_discord_a", "lazy_a", "separable", "lazy_gray_zone",
+)
+
+
+def _verdict_code(cls):
+    """One letter per field: T, F, or - for a verdict that is absent."""
+    return "".join(
+        "-" if getattr(cls, f) is None else "TF"[not getattr(cls, f)] for f in CORPUS_FIELDS
+    )
+
+
+def test_verdicts_pinned_on_seeded_corpus():
+    # 200 seeded states of each kind.  Only booleans are pinned: the witness
+    # bytes of random states may move with the OpenBLAS kernel, but no
+    # verdict lies within rounding of its threshold
+    rng = np.random.default_rng(2024)
+    codes, counts = [], {}
+    for kind, draw in CORPUS_KINDS.items():
+        kind_codes = [_verdict_code(classify(draw(rng))) for _ in range(200)]
+        codes += kind_codes
+        counts[kind] = dict(Counter(kind_codes))
+    assert counts == {
+        "ginibre": {"TFFFFFF": 156, "TFFFFTF": 44},
+        "hermitian": {"F-----F": 200},
+        "product": {"TFTTTTF": 200},
+        "classical_quantum": {"TFFTTTF": 200},
+        "bell_diagonal": {"TFFFTFF": 101, "TFFFTTF": 99},
+        "lazy_discordant": {"TFFFTTF": 200},
+        "separable_family": {"TFFFFTF": 200},
+        "pure": {"TTFFFFF": 200},
+        "pure_product": {"TTTTTTF": 200},
+        "pure_bell": {"TTFFTFF": 200},
+    }
+    digest = hashlib.sha256(" ".join(codes).encode()).hexdigest()
+    assert digest == "9fc2516103a2ba55e7e84e5f6c646902b09376da5d7efe158a7b3f71031aabf2"
+
+
+def test_pure_state_lazy_iff_product_or_maximally_entangled():
+    rng = np.random.default_rng(109)
+    checked = Counter()
+    for kind in ("pure", "pure_product", "pure_bell"):
+        for _ in range(100):
+            rho = CORPUS_KINDS[kind](rng)
+            cls = classify(rho)
+            assert cls.pure
+            assert cls.lazy_a == schmidt_lazy(rho, TOL)
+            checked[cls.lazy_a] += 1
+    assert checked == {False: 100, True: 200}
+
+
+# the error of a call that passes the tolerance a predicate no longer takes
+NO_TOL = "takes 1 positional argument but 2 were given"
+
+
+def _found_zero_discord_a(bell):
+    with pytest.raises(TypeError, match=NO_TOL):
+        zero_discord_a(decompose(bell), math.nan)
+    assert zero_discord_a(decompose(bell))[0] > TOL  # discordant
+
+
+def _found_lazy_by_parallelism(bell):
+    with pytest.raises(TypeError, match=NO_TOL):
+        lazy_by_parallelism(decompose(bell), -1.0)
+    assert lazy_by_parallelism(decompose(bell)) <= TOL  # lazy
+
+
+def _found_pure_schmidt(bell):
+    with pytest.raises(TypeError, match=NO_TOL):
+        pure_schmidt(bell, math.nan)
+    assert classify(bell).lazy_a and schmidt_lazy(bell, TOL)
+
+
+def _found_separable_classify(bell):
+    # alpha = 0: the two pure components coincide, so the mixture is product
+    s = SeparableFamilyParams(0.5, 0.0, 0.3, 0.2, 0.4)
+    with pytest.raises(TypeError, match=NO_TOL):
+        separable_classify(s, math.nan)
+    assert separable_classify(s) == "product"
+
+
+def _found_is_product(bell):
+    with pytest.raises(ValueError) as exc:
+        is_product(np.full((4, 4), math.nan))
+    assert str(exc.value) == "is_product: input has non-finite entries"
+
+
+def _found_separable_ppt(bell):
+    with pytest.raises(TypeError, match=NO_TOL):
+        separable_ppt(np.eye(4) / 4, -1.0)
+    assert separable_ppt(np.eye(4) / 4)[1] >= -TOL  # separable
+
+
+# each call answered wrongly while the predicates took a tol: it now either
+# cannot be written or raises ValueError naming its function, and the state
+# gets the right answer
+@pytest.mark.parametrize(
+    "check",
+    [
+        _found_zero_discord_a,
+        _found_lazy_by_parallelism,
+        _found_pure_schmidt,
+        _found_separable_classify,
+        _found_is_product,
+        _found_separable_ppt,
+    ],
+    ids=lambda f: f.__name__.removeprefix("_found_"),
+)
+def test_formerly_wrong_predicate_calls(check, bell_phi_plus):
+    check(bell_phi_plus)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("who,call", [("is_product", is_product), ("pure_schmidt", pure_schmidt)])
+def test_state_witnesses_reject_non_finite_input(who, call, bad):
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[2, 3] = bad
+    with pytest.raises(ValueError) as exc:
+        call(rho)
+    assert str(exc.value) == f"{who}: input has non-finite entries"

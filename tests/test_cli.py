@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 HERE = Path(__file__).parent
@@ -145,6 +146,23 @@ def test_exit_1_overflowing_entries_one_line(tmp_path, offdiag_10, min_eigenvalu
     result = run_cli("normal-form", str(state))
     assert result.returncode == 1 and result.stdout == ""
     assert result.stderr == "error: decompose: matrix too large, its norm overflows\n"
+
+
+def test_normal_form_runs_one_eigensolve(monkeypatch, capsys):
+    # decompose's checks and certify's are read off one gate pass
+    from lazystates import cli
+
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(m):
+        calls.append(m)
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert cli.main(["normal-form", str(FIXTURES / "bell.json")]) == 0
+    assert (GOLDEN / "normal_form_bell.txt").read_text() == capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_exit_1_normal_form_of_unphysical_state():

@@ -202,7 +202,7 @@ def test_commutator_norm_predicts_rate_sign():
     states += [bd_compose(np.random.default_rng(38).uniform(-0.4, 0.4, 3)) for _ in range(50)]
     gray_logged = 0
     for rho in states:
-        _, comm = lazy_by_commutator(rho)
+        comm = lazy_by_commutator(rho)
         max_rate = max(abs(entropy_rate_at_zero(rho, h).rate) for h in couplings)
         if gray_lo <= comm <= gray_hi:
             gray_logged += 1

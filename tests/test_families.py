@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lazystates.classify import classify, separable_ppt
+from lazystates.classify import DEFAULT_TOL as TOL, classify, separable_ppt
 from lazystates.families import (
     LazyDiscordantParams,
     SeparableFamilyParams,
@@ -114,8 +114,8 @@ def test_separable_compose_always_separable():
     rng = np.random.default_rng(19)
     for _ in range(100):
         rho = separable_compose(random_separable_params(rng))
-        verdict, negativity, _ = separable_ppt(rho)
-        assert verdict and negativity <= 1e-12
+        negativity, min_pt = separable_ppt(rho)
+        assert min_pt >= -TOL and negativity <= 1e-12
 
 
 @pytest.mark.parametrize(

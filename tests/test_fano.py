@@ -200,10 +200,6 @@ def test_every_entry_judges_a_malformed_state_by_one_gate(entry, kind):
 def test_library_calls_reject_a_tolerance_that_is_not_finite_and_positive(bell_phi_plus, bad):
     calls = {
         "classify: tol": lambda: classify(bell_phi_plus, tol=bad),
-        "validate: tol": lambda: validate(bell_phi_plus, tol=bad),
-        "decompose: tol": lambda: decompose(bell_phi_plus, tol=bad),
-        "certify: tol": lambda: certify(bell_phi_plus, "certify", tol=bad),
-        "lazy_by_commutator: tol": lambda: lazy_by_commutator(bell_phi_plus, tol=bad),
         "bd_region: tol": lambda: bd_region([0.5, 0.5, -0.5], bad),
         "laziness_dynamics_check: rate_tol": lambda: laziness_dynamics_check(
             bell_phi_plus, 2, rate_tol=bad
@@ -216,6 +212,18 @@ def test_library_calls_reject_a_tolerance_that_is_not_finite_and_positive(bell_p
         with pytest.raises(ValueError) as exc:
             call()
         assert str(exc.value) == f"{prefix} must be a finite number > 0 (got {bad!r})"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["x", "y", "t"])
+def test_fano_params_rejects_non_finite_entries(field, bad):
+    # the one check that zero_discord_a, lazy_by_parallelism, normal_form
+    # and compose rely on: no parameter set they take holds a NaN or inf
+    parts = {"x": np.zeros(3), "y": np.zeros(3), "t": np.eye(3)}
+    parts[field].flat[1] = bad
+    with pytest.raises(ValueError) as exc:
+        FanoParams(**parts)
+    assert str(exc.value) == "FanoParams: input has non-finite entries"
 
 
 def test_normal_form_examples():
