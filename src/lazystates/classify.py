@@ -122,7 +122,9 @@ def separable_ppt(rho):
     Returns (negativity, min_pt_eigenvalue), negativity being the summed
     magnitude of the negative partial-transpose eigenvalues.
     """
-    w, _ = herm_eig(partial_transpose_b(np.asarray(rho, dtype=complex)))
+    rho = np.asarray(rho, dtype=complex)
+    _require_finite(rho, "separable_ppt")
+    w, _ = herm_eig(partial_transpose_b(rho))
     return float(np.abs(w[w < 0.0]).sum()), float(w[0])
 
 

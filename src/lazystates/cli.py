@@ -5,8 +5,9 @@ family lazy-discordant|separable, dynamics-check.  Outputs are JSON with
 sorted keys or CSV, both byte-deterministic for a fixed command line.
 
 Exit codes: 0 success, 1 invalid state or family parameters, 2 parse/usage
-error, 3 classifier/dynamics inconsistency or a numerical solver failure,
-141 (128 + SIGPIPE) stdout closed by its reader before the output was written.
+error or a request too large for memory, 3 classifier/dynamics inconsistency
+or a numerical solver failure, 141 (128 + SIGPIPE) stdout closed by its
+reader before the output was written.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import os
 import sys
 
 from ._version import __version__
-from .belldiag import bd_census, bd_region, bd_slice, census_to_csv, slice_to_csv
+from .belldiag import BOUNDARY_TOL, bd_census, bd_region, bd_slice, census_to_csv, slice_to_csv
 from .classify import DEFAULT_TOL, ConsistencyError, classify
 from .dynamics import (
     DEFAULT_STEP,
@@ -105,26 +106,10 @@ def _step_size(text):
     return value
 
 
-def _classification_doc(cls, tol) -> dict:
-    return {
-        "physical": cls.physical,
-        "pure": cls.pure,
-        "product": cls.product,
-        "zero_discord_a": cls.zero_discord_a,
-        "lazy_a": cls.lazy_a,
-        "lazy_gray_zone": cls.lazy_gray_zone,
-        "separable": cls.separable,
-        "witnesses": cls.witnesses,
-        "diagnostics": cls.diagnostics,
-        "tolerances": {"tol": tol},
-        "version": __version__,
-    }
-
-
 def _cmd_classify(args) -> int:
     rho = load_state_file(args.state)
     cls = classify(rho, args.tol)
-    _print_json(_classification_doc(cls, args.tol))
+    _print_json({**vars(cls), "tolerances": {"tol": args.tol}, "version": __version__})
     if not cls.physical:
         d = cls.diagnostics
         print(
@@ -188,26 +173,11 @@ def _cmd_dynamics_check(args) -> int:
         rate_tol=args.rate_tol,
         nonzero_tol=args.nonzero_tol,
     )
-    _print_json(
-        {
-            "caution": report.caution,
-            "commutator_norm": report.commutator_norm,
-            "consistent": report.consistent,
-            "gray_zone": report.gray_zone,
-            "lazy": report.lazy,
-            "max_abs_rate": report.max_abs_rate,
-            "rates": [
-                {
-                    "caution": r.caution,
-                    "rate": r.rate,
-                    "seed": r.hamiltonian_seed,
-                    "step": r.step,
-                }
-                for r in report.rates
-            ],
-            "version": __version__,
-        }
-    )
+    rates = [
+        {"caution": report.caution, "rate": rate, "seed": args.seed + k, "step": args.step}
+        for k, rate in enumerate(report.rates)
+    ]
+    _print_json({**vars(report), "rates": rates, "version": __version__})
     if not report.consistent and not report.gray_zone:
         print(
             "dynamics check inconsistent: lazy="
@@ -241,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q = bd_sub.add_parser("classify", help="region label of a cube point")
     q.add_argument("--lambda", dest="lam", type=_lambda_triple, required=True,
                    metavar="L1,L2,L3")
-    q.add_argument("--tol", type=_positive_tol, default=1e-9)
+    q.add_argument("--tol", type=_positive_tol, default=BOUNDARY_TOL)
     q.set_defaults(func=_cmd_bd)
     q = bd_sub.add_parser("census", help="Monte Carlo region census (CSV)")
     q.add_argument("--samples", type=_positive_int, required=True)
@@ -308,6 +278,10 @@ def main(argv=None) -> int:
         return EXIT_BROKEN_PIPE
     except StateFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # arguments that ask for more memory than there is, e.g. bd slice's grid
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)

@@ -1,17 +1,16 @@
 """Entropy-rate interpretation of laziness.
 
 A state is lazy exactly when the von Neumann entropy of the first qubit has
-zero time derivative at t = 0 under every joint coupling Hamiltonian.  The
-derivative is estimated by a central difference of the base-2 marginal
-entropy along e^{-iht} rho e^{iht}; non-laziness is witnessed by sampling
-generic Hamiltonians, which generically see the nonzero derivative.
+zero time derivative at t = 0 under every joint coupling Hamiltonian.
+laziness_dynamics_check estimates that derivative by a central difference
+of the base-2 marginal entropy along e^{-iht} rho e^{iht}, for the seeded
+couplings h of unit spectral norm; these are generic, so a non-lazy state
+shows a nonzero rate under them.
 
-Two bounded caches, of _COUPLING_CACHE_SIZE entries each, serve the seeded
-couplings.  One holds, per seed, the normalised coupling and its
-eigendecomposition; the other holds, per (seed, step), the step propagator
-u = e^{-ih·step} and u†.  All their arrays are read-only, so repeated checks
-in one process eigensolve no coupling and exponentiate none again.  The step
-guard runs before anything is cached.
+One bounded cache, of _PROPAGATOR_CACHE_SIZE entries, holds per (seed,
+step) the read-only step propagator u = e^{-ih·step} and u†, so repeated
+checks in one process build, eigensolve and exponentiate no coupling again.
+The step guard runs before anything is cached.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 
 from .classify import DEFAULT_TOL, _commutator_witness
 from .fano import certify
-from .matcore import _require_tol, herm_eig, herm_exp, partial_trace_b
+from .matcore import _require_tol, herm_eig, partial_trace_b
 
 DEFAULT_STEP = 1e-4
 RATE_TOL_ZERO = 1e-6
@@ -37,23 +36,8 @@ COMM_GRAY_ZONE = (1e-9, 1e-4)
 # marginal eigenvalues below this contribute nothing to the entropy
 _ENTROPY_CLAMP = 1e-12
 
-# seeded couplings, and (seed, step) propagators, kept per process (about
-# 1 KB each)
-_COUPLING_CACHE_SIZE = 256
-
-
-@dataclass(frozen=True)
-class CouplingHamiltonian:
-    h: np.ndarray
-    seed: int | None = None
-
-
-@dataclass(frozen=True)
-class RateReport:
-    rate: float
-    step: float
-    hamiltonian_seed: int | None
-    caution: bool
+# (seed, step) propagators kept per process (about 1 KB each)
+_PROPAGATOR_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -67,44 +51,14 @@ class DynamicsCheckReport:
     caution: bool
 
 
-@functools.lru_cache(maxsize=_COUPLING_CACHE_SIZE, typed=True)
 def _coupling(seed: int):
-    """Read-only (h, w, v): the coupling of random_hamiltonian(seed) and its
-    eigendecomposition h = v @ diag(w) @ v†."""
+    """The coupling of seed: a Gaussian-ensemble Hermitian 4x4, rescaled to
+    unit spectral norm."""
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = (g + g.conj().T) / 2.0
     w, _ = herm_eig(h)
-    h = h / max(abs(float(w[0])), abs(float(w[-1])))
-    w, v = herm_eig(h)
-    for a in (h, w, v):
-        a.flags.writeable = False
-    return h, w, v
-
-
-def random_hamiltonian(seed: int) -> CouplingHamiltonian:
-    """Gaussian-ensemble Hermitian 4x4 coupling, rescaled to unit spectral norm."""
-    return CouplingHamiltonian(h=_coupling(seed)[0].copy(), seed=seed)
-
-
-def _coupling_matrix(h):
-    if isinstance(h, CouplingHamiltonian):
-        return h.h
-    return np.asarray(h, dtype=complex)
-
-
-def evolve(rho, h, t: float):
-    """Conjugate rho by e^{-iht}; trace and spectrum are preserved."""
-    rho = certify(rho, "evolve")
-    if not math.isfinite(t):
-        raise ValueError(f"evolve: t must be finite (got {t})")
-    u = herm_exp(_coupling_matrix(h), t)
-    return u @ rho @ u.conj().T
-
-
-def entropy_a(rho) -> float:
-    """Base-2 von Neumann entropy of the first-qubit marginal."""
-    return _marginal_entropy(certify(rho, "entropy_a"))
+    return h / max(abs(float(w[0])), abs(float(w[-1])))
 
 
 def _marginal_entropy(m) -> float:
@@ -122,9 +76,9 @@ def _marginal_entropy(m) -> float:
     return float(-(w * np.log2(w)).sum())
 
 
-def _step_propagators(w, v, step):
-    """(u, u†) with u = e^{-ih·step}, h = v @ diag(w) @ v†, once the step
-    passes the guard."""
+def _step_propagators(h, step):
+    """(u, u†) with u = e^{-ih·step}, once the step passes the guard."""
+    w, v = herm_eig(h)
     spectral = max(abs(float(w[0])), abs(float(w[-1])))
     if not 0.0 < step * spectral <= 1e-3:
         raise ValueError(
@@ -135,10 +89,10 @@ def _step_propagators(w, v, step):
     return u, u.conj().T
 
 
-@functools.lru_cache(maxsize=_COUPLING_CACHE_SIZE, typed=True)
+@functools.lru_cache(maxsize=_PROPAGATOR_CACHE_SIZE, typed=True)
 def _propagator(seed: int, step: float):
-    """Read-only _step_propagators of random_hamiltonian(seed)'s coupling."""
-    u, u_dag = _step_propagators(*_coupling(seed)[1:], step)
+    """Read-only _step_propagators of the coupling of seed."""
+    u, u_dag = _step_propagators(_coupling(seed), step)
     # u_dag is a transposed view; its base is locked too
     for a in (u, u_dag, u_dag.base):
         a.flags.writeable = False
@@ -161,22 +115,17 @@ def _entropy_rate(rho, u, u_dag, step) -> float:
     return (s_plus - s_minus) / (2.0 * step)
 
 
-def entropy_rate_at_zero(rho, h, step: float = DEFAULT_STEP) -> RateReport:
-    """Central-difference d/dt of the marginal entropy at t = 0.
+def entropy_rate_at_zero(rho, h, step: float = DEFAULT_STEP) -> float:
+    """Central-difference d/dt of the marginal entropy at t = 0 under the
+    Hermitian coupling h.
 
     Requires 0 < step * spectral_norm(h) <= 1e-3 so the O(step^2) truncation
     stays far below the zero/nonzero decision thresholds.  A pure first-qubit
-    marginal makes the derivative ill conditioned; the report then carries a
-    caution flag.
+    marginal makes the derivative ill conditioned; laziness_dynamics_check
+    flags it as caution.
     """
     rho = certify(rho, "entropy_rate_at_zero")
-    u, u_dag = _step_propagators(*herm_eig(_coupling_matrix(h)), step)
-    return RateReport(
-        rate=_entropy_rate(rho, u, u_dag, step),
-        step=step,
-        hamiltonian_seed=h.seed if isinstance(h, CouplingHamiltonian) else None,
-        caution=_pure_marginal(rho),
-    )
+    return _entropy_rate(rho, *_step_propagators(h, step), step)
 
 
 def _consistency(lazy, max_rate, comm_norm, rate_tol, nonzero_tol):
@@ -198,6 +147,8 @@ def laziness_dynamics_check(
 ) -> DynamicsCheckReport:
     """Compare the classifier's lazy verdict against sampled entropy rates.
 
+    rates[k] is the rate under the coupling of seed + k; caution flags a
+    pure first-qubit marginal, which makes every rate ill conditioned.
     Consistent means (lazy and max |rate| <= rate_tol) or (non-lazy and
     max |rate| > nonzero_tol).  An inconsistent result whose commutator norm
     falls in COMM_GRAY_ZONE is a boundary case to log, not a failure.
@@ -217,15 +168,9 @@ def laziness_dynamics_check(
     lazy = comm <= DEFAULT_TOL
     caution = _pure_marginal(rho)
     rates = tuple(
-        RateReport(
-            rate=_entropy_rate(rho, *_propagator(seed + k, step), step),
-            step=step,
-            hamiltonian_seed=seed + k,
-            caution=caution,
-        )
-        for k in range(n_hamiltonians)
+        _entropy_rate(rho, *_propagator(seed + k, step), step) for k in range(n_hamiltonians)
     )
-    max_abs = max(abs(r.rate) for r in rates)
+    max_abs = max(abs(r) for r in rates)
     consistent, gray = _consistency(lazy, max_abs, comm, rate_tol, nonzero_tol)
     return DynamicsCheckReport(
         max_abs_rate=max_abs,

@@ -49,7 +49,9 @@ PAULI_BASIS = np.stack([kron(a, b) for a in _P4 for b in _P4])
 class FanoParams:
     """Bloch vectors x (first qubit), y (second qubit) and correlation matrix t.
 
-    A non-finite entry raises ValueError when the parameters are built.
+    Each is stored as a read-only copy, so a witness computed from the
+    parameters is computed from the parameters as built.  A non-finite entry
+    raises ValueError when the parameters are built.
     """
 
     x: np.ndarray
@@ -58,8 +60,9 @@ class FanoParams:
 
     def __post_init__(self):
         for name, shape in (("x", 3), ("y", 3), ("t", (3, 3))):
-            value = np.asarray(getattr(self, name), dtype=float).reshape(shape)
+            value = np.asarray(getattr(self, name), dtype=float).reshape(shape).copy()
             _require_finite(value, "FanoParams")
+            value.flags.writeable = False
             object.__setattr__(self, name, value)
 
 

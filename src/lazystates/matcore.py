@@ -247,9 +247,3 @@ def det3(m) -> float:
         - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
         + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
     )
-
-
-def herm_exp(h, t: float):
-    """Unitary e^{-i h t} of a Hermitian h, via its eigendecomposition."""
-    w, v = herm_eig(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T

@@ -69,8 +69,12 @@ def load_state_file(path) -> np.ndarray:
             doc = json.load(fp)
     except OSError as exc:
         raise StateFileError(f"cannot read state file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise StateFileError(f"state file is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise StateFileError(f"invalid JSON in state file: {exc}") from exc
+    except RecursionError as exc:
+        raise StateFileError("state file nests too deeply to parse") from exc
     return state_from_dict(doc)
 
 

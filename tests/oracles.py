@@ -2,7 +2,28 @@
 
 import numpy as np
 
-from lazystates.matcore import I2, PAULIS, frob_norm, kron, partial_trace_b, qubit_spectrum
+from lazystates.matcore import (
+    I2,
+    PAULIS,
+    frob_norm,
+    herm_eig,
+    kron,
+    partial_trace_b,
+    qubit_spectrum,
+)
+
+
+def fresh_coupling(seed):
+    """The seeded unit-spectral-norm coupling, built from scratch.
+
+    A Gaussian-ensemble Hermitian 4x4 from default_rng(seed), divided by its
+    largest absolute eigenvalue, as the dynamics check builds it.
+    """
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = (g + g.conj().T) / 2.0
+    w, _ = herm_eig(h)
+    return h / max(abs(w[0]), abs(w[-1]))
 
 
 def pinch_residual(rho, n):

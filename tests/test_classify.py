@@ -554,7 +554,10 @@ def test_formerly_wrong_predicate_calls(check, bell_phi_plus):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("who,call", [("is_product", is_product), ("pure_schmidt", pure_schmidt)])
+@pytest.mark.parametrize(
+    "who,call",
+    [("is_product", is_product), ("pure_schmidt", pure_schmidt), ("separable_ppt", separable_ppt)],
+)
 def test_state_witnesses_reject_non_finite_input(who, call, bad):
     rho = np.eye(4, dtype=complex) / 4.0
     rho[2, 3] = bad

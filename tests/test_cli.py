@@ -245,14 +245,36 @@ def test_help_and_version_on_an_open_stdout():
     assert result.stdout.startswith("usage: lazystates [-h] [--version]")
 
 
-def test_exit_2_parse_errors():
+def test_exit_2_parse_errors(tmp_path):
     assert run_cli("classify", str(FIXTURES / "not_json.json")).returncode == 2
     assert run_cli("classify", str(FIXTURES / "malformed.json")).returncode == 2
     assert run_cli("classify", str(FIXTURES / "does_not_exist.json")).returncode == 2
+    # nesting past the recursion limit, and bytes that are not UTF-8
+    (tmp_path / "deep.json").write_text("[" * 100_000)
+    (tmp_path / "latin1.json").write_bytes(b'{"matrix": "\xe9"}')
+    for name in ("deep.json", "latin1.json"):
+        result = run_cli("classify", str(tmp_path / name))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: state file ")
+        assert result.stderr.count("\n") == 1
     for name in ("nan_matrix.json", "inf_fano.json", "huge_int_fano.json"):
         result = run_cli("classify", str(FIXTURES / name))
         assert result.returncode == 2
         assert result.stderr.strip().endswith("must contain only finite numbers")
+
+
+def test_exit_2_out_of_memory(monkeypatch, capsys):
+    from lazystates import cli
+
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(cli, "bd_slice", too_large)
+    argv = ["bd", "slice", "--axis", "3", "--value", "0", "--grid", "1000000"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: Unable to allocate 7.28 TiB\n"
 
 
 def test_exit_2_usage_errors():

@@ -8,16 +8,12 @@ from lazystates.belldiag import bd_compose
 from lazystates.dynamics import (
     COMM_GRAY_ZONE,
     DEFAULT_STEP,
-    CouplingHamiltonian,
-    RateReport,
     _consistency,
     _coupling,
+    _marginal_entropy,
     _propagator,
-    entropy_a,
     entropy_rate_at_zero,
-    evolve,
     laziness_dynamics_check,
-    random_hamiltonian,
 )
 from lazystates.families import (
     SeparableFamilyParams,
@@ -32,6 +28,7 @@ from lazystates.matcore import (
     partial_trace_b,
     qubit_spectrum,
 )
+from oracles import fresh_coupling
 from sampling import (
     ginibre_state,
     random_bell_diagonal_point,
@@ -46,96 +43,74 @@ NOT_LAZY_WITNESS = separable_compose(
 
 
 def test_random_hamiltonian_reproducible_and_hermitian():
-    h1 = random_hamiltonian(42)
-    h2 = random_hamiltonian(42)
-    assert np.array_equal(h1.h, h2.h)
-    assert hermiticity_residual(h1.h) <= 1e-15
-    w, _ = herm_eig(h1.h)
+    # the seeded coupling of the check
+    h1 = _coupling(42)
+    h2 = _coupling(42)
+    assert np.array_equal(h1, h2)
+    assert hermiticity_residual(h1) <= 1e-15
+    w, _ = herm_eig(h1)
     assert abs(max(abs(w[0]), abs(w[-1])) - 1.0) <= 1e-12
-    assert h1.seed == 42
+    # the check's rate k is the rate under the coupling of seed + k
+    rho = ginibre_state(np.random.default_rng(42))
+    report = laziness_dynamics_check(rho, 2, seed=41)
+    assert report.rates[1] == entropy_rate_at_zero(rho, h1)
 
 
 def test_random_hamiltonian_seeds_differ():
-    h1 = random_hamiltonian(1)
-    h2 = random_hamiltonian(2)
-    assert frob_norm(h1.h - h2.h) > 0.1
-
-
-def test_evolve_basics(bell_phi_plus):
-    h = random_hamiltonian(7)
-    assert np.allclose(evolve(bell_phi_plus, h, 0.0), bell_phi_plus, atol=1e-14)
-    # a state commutes with itself as generator
-    rho = ginibre_state(np.random.default_rng(1))
-    assert np.allclose(evolve(rho, rho, 2.3), rho, atol=1e-12)
-
-
-def test_evolve_preserves_spectrum_trace_positivity():
-    rng = np.random.default_rng(3)
-    for _ in range(30):
-        rho = ginibre_state(rng)
-        h = random_hamiltonian(int(rng.integers(1, 10_000)))
-        t = float(rng.uniform(-2, 2))
-        out = evolve(rho, h, t)
-        w_in, _ = herm_eig(rho)
-        w_out, _ = herm_eig(out)
-        assert np.max(np.abs(w_in - w_out)) <= 1e-10
-        assert abs(np.trace(out) - 1.0) <= 1e-12
-        assert w_out[0] >= -1e-10
-
-
-def test_evolve_rejects_bad_inputs(bell_phi_plus):
-    with pytest.raises(ValueError):
-        evolve(np.diag([2.0, -1.0, 0.0, 0.0]).astype(complex), random_hamiltonian(1), 0.1)
-    with pytest.raises(ValueError):
-        evolve(bell_phi_plus, np.triu(np.ones((4, 4))).astype(complex), 0.1)
+    h1 = _coupling(1)
+    h2 = _coupling(2)
+    assert frob_norm(h1 - h2) > 0.1
 
 
 def test_entropy_a_examples(bell_phi_plus):
-    assert abs(entropy_a(bell_phi_plus) - 1.0) <= 1e-12
+    # the first-qubit marginal entropy every rate is a difference of
+    assert abs(_marginal_entropy(bell_phi_plus) - 1.0) <= 1e-12
     ket = np.zeros(4, dtype=complex)
     ket[1] = 1.0
-    assert entropy_a(np.outer(ket, ket.conj())) <= 1e-12
+    assert _marginal_entropy(np.outer(ket, ket.conj())) <= 1e-12
     # marginal eigenvalues (3/4, 1/4): S = 2 - (3/4) log2 3
     rho = np.diag([0.375, 0.375, 0.125, 0.125]).astype(complex)
     expected = 2.0 - 0.75 * np.log2(3.0)
-    assert abs(entropy_a(rho) - expected) <= 1e-12
+    assert abs(_marginal_entropy(rho) - expected) <= 1e-12
 
 
 def test_entropy_rate_zero_for_lazy_states(bell_phi_plus):
     for k in range(10):
-        h = random_hamiltonian(100 + k)
-        assert abs(entropy_rate_at_zero(bell_phi_plus, h).rate) <= 1e-6
+        h = _coupling(100 + k)
+        assert abs(entropy_rate_at_zero(bell_phi_plus, h)) <= 1e-6
     rho = random_product_state(np.random.default_rng(5), max_bloch=0.8)
     for k in range(10):
-        h = random_hamiltonian(200 + k)
-        assert abs(entropy_rate_at_zero(rho, h).rate) <= 1e-6
+        h = _coupling(200 + k)
+        assert abs(entropy_rate_at_zero(rho, h)) <= 1e-6
 
 
 def test_entropy_rate_nonzero_for_witness():
     rates = [
-        abs(entropy_rate_at_zero(NOT_LAZY_WITNESS, random_hamiltonian(300 + k)).rate)
+        abs(entropy_rate_at_zero(NOT_LAZY_WITNESS, _coupling(300 + k)))
         for k in range(20)
     ]
     assert max(rates) > 1e-3
 
 
 def test_entropy_rate_step_contract():
-    h = random_hamiltonian(1)
+    h = _coupling(1)
     rho = bd_compose([0.2, 0.1, -0.3])
     with pytest.raises(ValueError):
         entropy_rate_at_zero(rho, h, step=0.0)
     with pytest.raises(ValueError):
         entropy_rate_at_zero(rho, h, step=0.01)
-    report = entropy_rate_at_zero(rho, h, step=1e-4)
-    assert report.step == 1e-4
-    assert report.hamiltonian_seed == 1
+    rate = entropy_rate_at_zero(rho, h, step=1e-4)
+    assert type(rate) is float
+    # the check's one rate at seed 1 and step 1e-4 is that rate
+    report = laziness_dynamics_check(rho, 1, seed=1, step=1e-4)
+    assert report.rates == (rate,)
     assert not report.caution
 
 
 def test_entropy_rate_caution_for_pure_marginal():
     ket = np.zeros(4, dtype=complex)
     ket[0] = 1.0
-    report = entropy_rate_at_zero(np.outer(ket, ket.conj()), random_hamiltonian(4))
+    report = laziness_dynamics_check(np.outer(ket, ket.conj()), 1, seed=4)
     assert report.caution
 
 
@@ -144,9 +119,9 @@ def test_entropy_rate_step_halving_second_order():
     for k in range(20):
         # mix toward the identity to keep the marginal comfortably nonsingular
         rho = 0.5 * ginibre_state(rng) + 0.5 * np.eye(4) / 4
-        h = random_hamiltonian(400 + k)
-        r1 = entropy_rate_at_zero(rho, h, step=1e-4).rate
-        r2 = entropy_rate_at_zero(rho, h, step=5e-5).rate
+        h = _coupling(400 + k)
+        r1 = entropy_rate_at_zero(rho, h, step=1e-4)
+        r2 = entropy_rate_at_zero(rho, h, step=5e-5)
         w, _ = herm_eig(rho)
         w_min = max(float(w[0]), 1e-3)
         scale = max(1.0, 1.0 / w_min**2)
@@ -195,7 +170,7 @@ def test_commutator_norm_predicts_rate_sign():
     rng = np.random.default_rng(37)
     from lazystates.classify import lazy_by_commutator
 
-    couplings = [random_hamiltonian(500 + k) for k in range(20)]
+    couplings = [_coupling(500 + k) for k in range(20)]
     gray_lo, gray_hi = 1e-9, 1e-4
     states = [ginibre_state(rng) for _ in range(350)]
     states += [random_product_state(rng) for _ in range(100)]
@@ -203,7 +178,7 @@ def test_commutator_norm_predicts_rate_sign():
     gray_logged = 0
     for rho in states:
         comm = lazy_by_commutator(rho)
-        max_rate = max(abs(entropy_rate_at_zero(rho, h).rate) for h in couplings)
+        max_rate = max(abs(entropy_rate_at_zero(rho, h)) for h in couplings)
         if gray_lo <= comm <= gray_hi:
             gray_logged += 1
             continue
@@ -223,21 +198,12 @@ DYNAMICS_KINDS = {
 }
 
 
-def _fresh_coupling(seed):
-    # built from scratch as random_hamiltonian documents it, with no cache
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    h = (g + g.conj().T) / 2.0
-    w, _ = herm_eig(h)
-    return CouplingHamiltonian(h=h / max(abs(w[0]), abs(w[-1])), seed=seed)
-
-
 def _uncached_rates(rho, n_hamiltonians, seed, step):
     # the public path: a fresh coupling per call, eigensolved per rate
     for k in range(n_hamiltonians):
-        assert np.array_equal(random_hamiltonian(seed + k).h, _fresh_coupling(seed + k).h)
+        assert np.array_equal(_coupling(seed + k), fresh_coupling(seed + k))
     return tuple(
-        entropy_rate_at_zero(rho, _fresh_coupling(seed + k), step)
+        entropy_rate_at_zero(rho, fresh_coupling(seed + k), step)
         for k in range(n_hamiltonians)
     )
 
@@ -248,28 +214,26 @@ def _entropy2_reference(marginal):
     return float(-(w * np.log2(w)).sum())
 
 
-def _entropy_rate_reference(rho, coupling, step):
+def _entropy_rate_reference(rho, h, step):
     # the rate arithmetic of the uncached implementation, kept here as an
     # oracle: fresh eigensolve and propagator per rate, einsum partial
     # traces, the marginal spectrum by qubit_spectrum
-    w, v = herm_eig(coupling.h)
-    marginal = partial_trace_b(rho)
-    purity = float(np.einsum("ij,ji->", marginal, marginal).real)
+    w, v = herm_eig(h)
     u_plus = (v * np.exp(-1j * w * step)) @ v.conj().T
     s_plus = _entropy2_reference(partial_trace_b(u_plus @ rho @ u_plus.conj().T))
     u_minus = u_plus.conj().T
     s_minus = _entropy2_reference(partial_trace_b(u_minus @ rho @ u_minus.conj().T))
-    return RateReport(
-        rate=(s_plus - s_minus) / (2.0 * step),
-        step=step,
-        hamiltonian_seed=coupling.seed,
-        caution=purity >= 1.0 - 1e-12,
-    )
+    return (s_plus - s_minus) / (2.0 * step)
+
+
+def _caution_reference(rho):
+    marginal = partial_trace_b(rho)
+    return float(np.einsum("ij,ji->", marginal, marginal).real) >= 1.0 - 1e-12
 
 
 def _reference_rates(rho, n_hamiltonians, seed, step):
     return tuple(
-        _entropy_rate_reference(rho, _fresh_coupling(seed + k), step)
+        _entropy_rate_reference(rho, fresh_coupling(seed + k), step)
         for k in range(n_hamiltonians)
     )
 
@@ -281,7 +245,6 @@ CHECK_CASES = [(0, 20, 1e-4), (11, 5, 5e-5), (1000, 33, 2e-4), (2**40, 3, 1e-5)]
 def test_cached_couplings_give_the_uncached_rates(seed, n_hamiltonians, step):
     rng = np.random.default_rng(seed % 997)
     states = [make(rng) for make in DYNAMICS_KINDS.values()]
-    _coupling.cache_clear()
     _propagator.cache_clear()
     cold = [laziness_dynamics_check(rho, n_hamiltonians, seed, step) for rho in states]
     # one propagator pair built per (seed, step), shared by every state
@@ -305,22 +268,24 @@ def test_warm_check_eigensolves_no_coupling(monkeypatch):
 def test_mutating_a_returned_coupling_leaves_the_check_alone():
     rho = ginibre_state(np.random.default_rng(6))
     before = laziness_dynamics_check(rho, 4, seed=40)
-    coupling = random_hamiltonian(41)
-    assert coupling.h.flags.writeable
-    assert not any(a.flags.writeable for a in _coupling(41))
-    coupling.h[:] = 0.0
+    coupling = _coupling(41)
+    assert coupling.flags.writeable
+    assert not any(a.flags.writeable for a in _propagator(41, DEFAULT_STEP))
+    coupling[:] = 0.0
     after = laziness_dynamics_check(rho, 4, seed=40)
     assert repr(after) == repr(before)
     assert repr(after.rates) == repr(_uncached_rates(rho, 4, 40, DEFAULT_STEP))
-    assert not np.array_equal(random_hamiltonian(41).h, coupling.h)
+    assert not np.array_equal(_coupling(41), coupling)
 
 
 def test_cache_accepts_the_seeds_numpy_accepts():
-    h = random_hamiltonian(np.int64(5)).h
-    # 5.0 == np.int64(5), but default_rng refuses a float seed, cached or not
+    u, _ = _propagator(np.int64(5), DEFAULT_STEP)
+    assert np.array_equal(_propagator(5, DEFAULT_STEP)[0], u)
+    # 5.0 == 5, but default_rng refuses a float seed, cached or not
     with pytest.raises(TypeError):
-        random_hamiltonian(5.0)
-    assert np.array_equal(random_hamiltonian(5).h, h)
+        _propagator(5.0, DEFAULT_STEP)
+    with pytest.raises(TypeError):
+        laziness_dynamics_check(np.eye(4) / 4, 1, seed=5.0)
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-4, 0.01])
@@ -330,7 +295,7 @@ def test_bad_step_raises_the_same_error_on_a_warm_cache(step):
     with pytest.raises(ValueError) as cached:
         laziness_dynamics_check(rho, 3, seed=5, step=step)
     with pytest.raises(ValueError) as direct:
-        entropy_rate_at_zero(rho, _fresh_coupling(5), step=step)
+        entropy_rate_at_zero(rho, fresh_coupling(5), step=step)
     assert str(cached.value) == str(direct.value)
 
 
@@ -339,15 +304,14 @@ def test_check_matches_the_reference_arithmetic(seed, n_hamiltonians, step):
     rng = np.random.default_rng(seed % 997)
     states = [make(rng) for make in DYNAMICS_KINDS.values()]
     oracle = [_reference_rates(rho, n_hamiltonians, seed, step) for rho in states]
-    _coupling.cache_clear()
     _propagator.cache_clear()
     for _ in ("cold", "warm"):
         reports = [laziness_dynamics_check(rho, n_hamiltonians, seed, step) for rho in states]
         assert repr([r.rates for r in reports]) == repr(oracle)
-        assert [r.caution for r in reports] == [o[0].caution for o in oracle]
+        assert [r.caution for r in reports] == [_caution_reference(rho) for rho in states]
     direct = [
         tuple(
-            entropy_rate_at_zero(rho, random_hamiltonian(seed + k), step)
+            entropy_rate_at_zero(rho, _coupling(seed + k), step)
             for k in range(n_hamiltonians)
         )
         for rho in states
@@ -358,10 +322,13 @@ def test_check_matches_the_reference_arithmetic(seed, n_hamiltonians, step):
 def test_entropy_a_matches_the_reference_arithmetic(bell_phi_plus):
     rng = np.random.default_rng(17)
     states = [bell_phi_plus] + [make(rng) for make in DYNAMICS_KINDS.values() for _ in range(4)]
-    states += [evolve(rho, random_hamiltonian(3), 0.7) for rho in states]
+    # evolved for t = 0.7 under the coupling of seed 3
+    w, v = herm_eig(fresh_coupling(3))
+    u = (v * np.exp(-1j * w * 0.7)) @ v.conj().T
+    states += [u @ rho @ u.conj().T for rho in states]
     for rho in states:
-        marginal = partial_trace_b(certify(rho, "test"))
-        assert repr(entropy_a(rho)) == repr(_entropy2_reference(marginal))
+        herm = certify(rho, "test")
+        assert repr(_marginal_entropy(herm)) == repr(_entropy2_reference(partial_trace_b(herm)))
 
 
 def test_propagators_are_keyed_by_seed_and_step():
@@ -380,7 +347,7 @@ def test_propagators_are_keyed_by_seed_and_step():
 def test_cached_propagators_are_read_only():
     u, u_dag = _propagator(62, DEFAULT_STEP)
     assert np.array_equal(u_dag, u.conj().T)
-    w, v = herm_eig(_fresh_coupling(62).h)
+    w, v = herm_eig(fresh_coupling(62))
     assert np.array_equal(u, (v * np.exp(-1j * w * DEFAULT_STEP)) @ v.conj().T)
     for a in (u, u_dag, u_dag.base):
         assert not a.flags.writeable
@@ -392,11 +359,9 @@ def test_cached_propagators_are_read_only():
 @pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf])
 def test_non_finite_step_is_rejected(bell_phi_plus, step):
     with pytest.raises(ValueError, match="require 0 < step"):
-        entropy_rate_at_zero(bell_phi_plus, random_hamiltonian(0), step=step)
+        entropy_rate_at_zero(bell_phi_plus, _coupling(0), step=step)
     with pytest.raises(ValueError, match="require 0 < step"):
         laziness_dynamics_check(bell_phi_plus, 3, step=step)
-    with pytest.raises(ValueError, match="t must be finite"):
-        evolve(bell_phi_plus, random_hamiltonian(0), step)
 
 
 def test_rejected_step_leaves_nothing_cached(bell_phi_plus):

@@ -10,13 +10,7 @@ import pytest
 
 from lazystates.belldiag import bd_region
 from lazystates.classify import classify, lazy_by_commutator
-from lazystates.dynamics import (
-    entropy_a,
-    entropy_rate_at_zero,
-    evolve,
-    laziness_dynamics_check,
-    random_hamiltonian,
-)
+from lazystates.dynamics import entropy_rate_at_zero, laziness_dynamics_check
 from lazystates.fano import FanoParams, certify, compose, decompose, normal_form, validate
 from lazystates.matcore import (
     I2,
@@ -26,6 +20,7 @@ from lazystates.matcore import (
     herm_eig,
     kron,
 )
+from oracles import fresh_coupling
 from sampling import ginibre_state, random_product_state
 
 
@@ -137,9 +132,7 @@ GATED_ENTRIES = {
     "certify": lambda rho: certify(rho, "certify"),
     "classify": classify,
     "lazy_by_commutator": lazy_by_commutator,
-    "evolve": lambda rho: evolve(rho, random_hamiltonian(0), 0.1),
-    "entropy_a": entropy_a,
-    "entropy_rate_at_zero": lambda rho: entropy_rate_at_zero(rho, random_hamiltonian(0)),
+    "entropy_rate_at_zero": lambda rho: entropy_rate_at_zero(rho, fresh_coupling(0)),
     "laziness_dynamics_check": lambda rho: laziness_dynamics_check(rho, 2),
 }
 
@@ -224,6 +217,20 @@ def test_fano_params_rejects_non_finite_entries(field, bad):
     with pytest.raises(ValueError) as exc:
         FanoParams(**parts)
     assert str(exc.value) == "FanoParams: input has non-finite entries"
+
+
+@pytest.mark.parametrize("field", ["x", "y", "t"])
+def test_fano_params_store_read_only_copies(field, bell_phi_plus):
+    # a NaN written into decompose's t once reached zero_discord_a's SVD
+    with pytest.raises(ValueError):
+        getattr(decompose(bell_phi_plus), field)[0] = math.nan
+    parts = {"x": np.zeros(3), "y": np.zeros(3), "t": np.eye(3)}
+    p = FanoParams(**parts)
+    with pytest.raises(ValueError):
+        getattr(p, field)[0] = math.nan
+    # the caller's array stays writable, and writing it leaves p alone
+    parts[field][0] = 0.25
+    assert not np.any(getattr(p, field)[0] == 0.25)
 
 
 def test_normal_form_examples():

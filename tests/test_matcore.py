@@ -12,7 +12,6 @@ from lazystates.matcore import (
     det3,
     frob_norm,
     herm_eig,
-    herm_exp,
     is_hermitian,
     kron,
     partial_trace_a,
@@ -216,25 +215,6 @@ def test_det3_matches_reference():
     for _ in range(50):
         m = rng.uniform(-2, 2, (3, 3))
         assert abs(det3(m) - np.linalg.det(m)) <= 1e-12
-
-
-def test_herm_exp_examples():
-    h = np.diag([0.3, -0.1, 0.7, 0.2]).astype(complex)
-    assert np.allclose(herm_exp(h, 0.0), np.eye(4))
-    assert np.allclose(herm_exp(np.eye(4, dtype=complex), np.pi), -np.eye(4), atol=1e-14)
-    u = herm_exp(kron(SIGMA_Z, I2), np.pi / 2)
-    phases = np.exp(-1j * np.pi / 2 * np.array([1, 1, -1, -1]))
-    assert np.allclose(u, np.diag(phases), atol=1e-14)
-
-
-def test_herm_exp_unitary_inverse():
-    rng = np.random.default_rng(43)
-    for _ in range(30):
-        h = random_hermitian(rng)
-        t = rng.uniform(-2, 2)
-        u = herm_exp(h, t)
-        assert frob_norm(u @ u.conj().T - np.eye(4)) <= 1e-10
-        assert frob_norm(herm_exp(h, t) @ herm_exp(h, -t) - np.eye(4)) <= 1e-10
 
 
 def test_commutator_and_norm():
