@@ -5,9 +5,9 @@ family lazy-discordant|separable, dynamics-check.  Outputs are JSON with
 sorted keys or CSV, both byte-deterministic for a fixed command line.
 
 Exit codes: 0 success, 1 invalid state or family parameters, 2 parse/usage
-error or a request too large for memory, 3 classifier/dynamics inconsistency
-or a numerical solver failure, 141 (128 + SIGPIPE) stdout closed by its
-reader before the output was written.
+error, an unreadable or unwritable state file or a request too large for
+memory, 3 classifier/dynamics inconsistency or a numerical solver failure,
+141 (128 + SIGPIPE) stdout closed by its reader before the output was written.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ EXIT_INVALID_STATE = 1
 EXIT_USAGE = 2
 EXIT_INCONSISTENT = 3
 EXIT_BROKEN_PIPE = 141
+MAX_WORKERS = 64  # bd census --workers at most: the census starts a thread per worker
 
 
 def _print_json(doc) -> None:
@@ -73,6 +74,13 @@ def _positive_int(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
+def _worker_count(text):
+    value = int(text)
+    if not 1 <= value <= MAX_WORKERS:
+        raise argparse.ArgumentTypeError(f"must lie in [1, {MAX_WORKERS}]")
     return value
 
 
@@ -216,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q = bd_sub.add_parser("census", help="Monte Carlo region census (CSV)")
     q.add_argument("--samples", type=_positive_int, required=True)
     q.add_argument("--seed", type=_nonnegative_int, required=True)
-    q.add_argument("--workers", type=_positive_int, default=1)
+    q.add_argument("--workers", type=_worker_count, default=1, help=f"at most {MAX_WORKERS}")
     q.set_defaults(func=_cmd_bd)
     q = bd_sub.add_parser("slice", help="region labels on a plane (CSV)")
     q.add_argument("--axis", type=int, choices=(1, 2, 3), required=True)

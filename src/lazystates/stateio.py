@@ -6,9 +6,8 @@ A state file holds exactly one of two keys:
     {"fano": {"x": [3 reals], "y": [3 reals], "T": [[3x3 reals]]}}
 
 The matrix form is entry-by-entry [re, im] pairs so fixtures stay hand
-auditable.  Structural problems and non-finite numbers raise StateFileError
-(a parse failure); whether the parsed state is physical is the caller's
-concern.
+auditable.  Unreadable or unwritable files, structural problems and
+non-finite numbers raise StateFileError; physicality is the caller's concern.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from .fano import FanoParams, compose
 
 
 class StateFileError(ValueError):
-    """The file does not follow the state-file schema."""
+    """The file cannot be read or written, or breaks the state-file schema."""
 
 
 def _real_array(node, shape, what):
@@ -88,6 +87,9 @@ def state_to_dict(rho) -> dict:
 
 
 def save_state_file(path, rho) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        json.dump(state_to_dict(rho), fp, sort_keys=True, indent=2)
-        fp.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fp:
+            json.dump(state_to_dict(rho), fp, sort_keys=True, indent=2)
+            fp.write("\n")
+    except OSError as exc:
+        raise StateFileError(f"cannot write state file: {exc}") from exc

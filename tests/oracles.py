@@ -1,5 +1,7 @@
 """Reference computations that the tests hold the package against."""
 
+import platform
+
 import numpy as np
 
 from lazystates.matcore import (
@@ -24,6 +26,18 @@ def fresh_coupling(seed):
     h = (g + g.conj().T) / 2.0
     w, _ = herm_eig(h)
     return h / max(abs(w[0]), abs(w[-1]))
+
+
+def numpy_on_openblas_x86_64():
+    """True where numpy runs on OpenBLAS on x86-64, so that a child process
+    can pick another OpenBLAS kernel with OPENBLAS_CORETYPE."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return False
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.25 has no mode="dicts"
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
 
 
 def pinch_residual(rho, n):

@@ -296,6 +296,38 @@ def test_exit_2_usage_errors():
     assert run_cli("nonsense-command").returncode == 2
 
 
+@pytest.mark.parametrize(
+    "family,out",
+    [
+        (("lazy-discordant", "--y1", "0.5", "--l2", "0.3", "--l3", "0.4"), "missing/x.json"),
+        (("separable", "--p", "0.5", "--alpha", "1", "--beta", "1", "--a", "0", "--b", "1"), "."),
+    ],
+)
+def test_exit_2_out_cannot_be_written(tmp_path, family, out):
+    # a missing directory, and a directory in place of a file
+    result = run_cli("family", *family, "--out", str(tmp_path / out))
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("error: cannot write state file: ")
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+
+
+def test_census_workers_are_capped(capsys):
+    # parsed only: the census starts one thread per worker
+    from lazystates import cli
+
+    parser = cli._build_parser()
+    argv = ["bd", "census", "--samples", "1", "--seed", "0", "--workers"]
+    assert parser.parse_args([*argv, str(cli.MAX_WORKERS)]).workers == cli.MAX_WORKERS
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([*argv, str(cli.MAX_WORKERS + 1)])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == [
+        "lazystates bd census: error: argument --workers: "
+        f"must lie in [1, {cli.MAX_WORKERS}]"
+    ]
+
+
 def test_exit_1_family_invariant_violation():
     result = run_cli(
         "family", "lazy-discordant", "--y1", "0.9", "--l2", "0.3", "--l3", "0.4"

@@ -1,4 +1,8 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,11 +10,12 @@ import pytest
 from lazystates import dynamics
 from lazystates.belldiag import bd_compose
 from lazystates.dynamics import (
+    _PROPAGATOR_CACHE_SIZE,
     COMM_GRAY_ZONE,
     DEFAULT_STEP,
     _consistency,
     _coupling,
-    _marginal_entropy,
+    _marginal_entropies,
     _propagator,
     entropy_rate_at_zero,
     laziness_dynamics_check,
@@ -28,7 +33,7 @@ from lazystates.matcore import (
     partial_trace_b,
     qubit_spectrum,
 )
-from oracles import fresh_coupling
+from oracles import fresh_coupling, numpy_on_openblas_x86_64
 from sampling import (
     ginibre_state,
     random_bell_diagonal_point,
@@ -64,14 +69,16 @@ def test_random_hamiltonian_seeds_differ():
 
 def test_entropy_a_examples(bell_phi_plus):
     # the first-qubit marginal entropy every rate is a difference of
-    assert abs(_marginal_entropy(bell_phi_plus) - 1.0) <= 1e-12
     ket = np.zeros(4, dtype=complex)
     ket[1] = 1.0
-    assert _marginal_entropy(np.outer(ket, ket.conj())) <= 1e-12
     # marginal eigenvalues (3/4, 1/4): S = 2 - (3/4) log2 3
     rho = np.diag([0.375, 0.375, 0.125, 0.125]).astype(complex)
-    expected = 2.0 - 0.75 * np.log2(3.0)
-    assert abs(_marginal_entropy(rho) - expected) <= 1e-12
+    bell, pure, mixed = _marginal_entropies(
+        np.stack([bell_phi_plus, np.outer(ket, ket.conj()), rho])
+    )
+    assert abs(bell - 1.0) <= 1e-12
+    assert pure <= 1e-12
+    assert abs(mixed - (2.0 - 0.75 * np.log2(3.0))) <= 1e-12
 
 
 def test_entropy_rate_zero_for_lazy_states(bell_phi_plus):
@@ -328,7 +335,74 @@ def test_entropy_a_matches_the_reference_arithmetic(bell_phi_plus):
     states += [u @ rho @ u.conj().T for rho in states]
     for rho in states:
         herm = certify(rho, "test")
-        assert repr(_marginal_entropy(herm)) == repr(_entropy2_reference(partial_trace_b(herm)))
+        assert repr(_marginal_entropies(herm[None])[0]) == repr(
+            _entropy2_reference(partial_trace_b(herm))
+        )
+
+
+# SHA-256 of repr of the 200 reports, recorded with per-coupling products
+# under OpenBLAS's SkylakeX kernel, as the goldens are
+PINNED_REPORTS_SHA256 = "a341f0f919748b63040370ec6727b01e319feab08d56bc8d28b8aaac6f8ee113"
+
+
+def test_dynamics_reports_are_pinned():
+    rng = np.random.default_rng(1600)
+    states = [make(rng) for _ in range(40) for make in DYNAMICS_KINDS.values()]
+    reports = [laziness_dynamics_check(rho, 20, seed=0, step=1e-4) for rho in states]
+    assert hashlib.sha256(repr(reports).encode()).hexdigest() == PINNED_REPORTS_SHA256
+
+
+@pytest.mark.parametrize(
+    "n_hamiltonians",
+    [
+        1,
+        _PROPAGATOR_CACHE_SIZE - 1,
+        _PROPAGATOR_CACHE_SIZE,
+        _PROPAGATOR_CACHE_SIZE + 1,
+        2 * _PROPAGATOR_CACHE_SIZE + 1,
+    ],
+)
+def test_chunk_boundaries_give_the_reference_rates(monkeypatch, n_hamiltonians):
+    rho = ginibre_state(np.random.default_rng(n_hamiltonians))
+    stacked = []
+    entropies = dynamics._marginal_entropies
+    monkeypatch.setattr(
+        dynamics, "_marginal_entropies", lambda m: stacked.append(len(m)) or entropies(m)
+    )
+    report = laziness_dynamics_check(rho, n_hamiltonians, seed=3000)
+    assert repr(report.rates) == repr(_reference_rates(rho, n_hamiltonians, 3000, DEFAULT_STEP))
+    # each pass stacks u rho u† and u† rho u of at most _PROPAGATOR_CACHE_SIZE couplings
+    sizes = [min(_PROPAGATOR_CACHE_SIZE, n_hamiltonians - start)
+             for start in range(0, n_hamiltonians, _PROPAGATOR_CACHE_SIZE)]
+    assert stacked == [2 * k for k in sizes]
+
+
+_PRESCOTT_RATES_CHILD = """
+import sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from test_dynamics import DYNAMICS_KINDS, _reference_rates
+from lazystates.dynamics import laziness_dynamics_check
+rng = np.random.default_rng(23)
+for name, make in DYNAMICS_KINDS.items():
+    rho = make(rng)
+    rates = laziness_dynamics_check(rho, 20, seed=0).rates
+    if repr(rates) != repr(_reference_rates(rho, 20, 0, 1e-4)):
+        sys.exit(name + ": stacked rates differ from the reference")
+"""
+
+
+@pytest.mark.skipif(
+    not numpy_on_openblas_x86_64(), reason="needs numpy on OpenBLAS, x86-64"
+)
+def test_stacked_rates_match_the_reference_under_the_prescott_kernel():
+    # Prescott's zgemm rounds differently from the newer kernels; the stacked
+    # products must still equal the per-coupling ones bit for bit
+    result = subprocess.run(
+        [sys.executable, "-c", _PRESCOTT_RATES_CHILD, os.path.dirname(os.path.abspath(__file__))],
+        capture_output=True, text=True, env={**os.environ, "OPENBLAS_CORETYPE": "Prescott"},
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_propagators_are_keyed_by_seed_and_step():

@@ -1,6 +1,5 @@
 import math
 import os
-import platform
 import subprocess
 import sys
 import warnings
@@ -20,7 +19,7 @@ from lazystates.matcore import (
     herm_eig,
     kron,
 )
-from oracles import fresh_coupling
+from oracles import fresh_coupling, numpy_on_openblas_x86_64
 from sampling import ginibre_state, random_product_state
 
 
@@ -290,16 +289,6 @@ def test_laziness_invariant_under_normal_form():
         assert classify(rho).lazy_a == classify(rotated).lazy_a
 
 
-def _numpy_on_openblas_x86_64():
-    if platform.machine().lower() not in ("x86_64", "amd64"):
-        return False
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy before 1.25 has no mode="dicts"
-        return False
-    return "openblas" in str(blas.get("name", "")).lower()
-
-
 _DIGEST_CHILD = """
 import hashlib, sys
 import numpy as np
@@ -317,7 +306,7 @@ print(h.hexdigest())
 
 
 @pytest.mark.skipif(
-    not _numpy_on_openblas_x86_64(), reason="needs numpy on OpenBLAS, x86-64"
+    not numpy_on_openblas_x86_64(), reason="needs numpy on OpenBLAS, x86-64"
 )
 def test_normal_form_bytes_do_not_depend_on_the_openblas_kernel(tmp_path):
     # OpenBLAS picks its kernel at run time; Prescott's ddot and dgemv round
@@ -352,7 +341,7 @@ def test_normal_form_bytes_do_not_depend_on_the_openblas_kernel(tmp_path):
 
 
 @pytest.mark.skipif(
-    not _numpy_on_openblas_x86_64(), reason="needs numpy on OpenBLAS, x86-64"
+    not numpy_on_openblas_x86_64(), reason="needs numpy on OpenBLAS, x86-64"
 )
 @pytest.mark.parametrize("state", ["bell", "maximally_mixed"])
 def test_classify_goldens_hold_under_the_prescott_kernel(state):
