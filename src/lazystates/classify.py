@@ -7,11 +7,11 @@ Both routes measure one number, ||[rho, rho_A @ I]||_F = 0.5 * sqrt(sum_j
 |x cross T[:,j]|^2), from the matrices and from the Bloch parameters; they
 must agree to rounding, which keeps the equivalence under continuous test.
 Physicality is decided once, by fano's state gate at the caller's tol,
-and the predicates then see the state's Hermitian part.  Zero discord is
-the rank of the Bloch vector beside the correlation matrix, read off one
-LAPACK SVD.  Separability is positivity of the partial transpose, exact
-for two qubits.  Each predicate returns its witnesses only; classify is
-the one place where a witness is compared with tol.
+and classify passes the state's Hermitian part unchecked to each witness's
+one kernel, which the public predicate calls after checking its input.
+Zero discord is the rank of [x | T], read off one LAPACK SVD; separability
+is positivity of the partial transpose, exact for two qubits.  Each
+predicate returns its witnesses only; classify alone compares them with tol.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fano import FanoParams, _fano_params, _gate, certify
+from .fano import FanoParams, _coeffs, _gate, certify
 from .matcore import (
     I2,
     _require_finite,
@@ -80,6 +80,14 @@ def lazy_by_commutator(rho) -> float:
     return _commutator_witness(certify(rho, "lazy_by_commutator"))
 
 
+def _parallel_residual(x, t) -> float:
+    # the nine components x cross t[:, j], each formed as np.cross forms it
+    # (one difference of two rounded products) and laid out (j, k) as it does
+    (x0, x1, x2), (t0, t1, t2) = x.tolist(), t.tolist()
+    cross = [(x1 * c - x2 * b, x2 * a - x0 * c, x0 * b - x1 * a) for a, b, c in zip(t0, t1, t2)]
+    return 0.5 * frob_norm(cross)
+
+
 def lazy_by_parallelism(p: FanoParams) -> float:
     """The laziness witness of x parallel to every column of t.
 
@@ -88,7 +96,12 @@ def lazy_by_parallelism(p: FanoParams) -> float:
     number.  A zero x or a zero column contributes nothing (parallelism
     holds vacuously).
     """
-    return 0.5 * frob_norm(np.cross(p.x, p.t.T))
+    return _parallel_residual(p.x, p.t)
+
+
+def _discord_svd(m):
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    return float(s[1]), u[:, 0]
 
 
 def zero_discord_a(p: FanoParams):
@@ -105,15 +118,23 @@ def zero_discord_a(p: FanoParams):
     moves rho by exactly 0.5 * hypot(sigma_2, sigma_3) in Frobenius norm.
     Returns (sigma_2, n).
     """
-    u, s, _ = np.linalg.svd(np.column_stack((p.x, p.t)), full_matrices=False)
-    return float(s[1]), u[:, 0]
+    return _discord_svd(np.column_stack((p.x, p.t)))
+
+
+def _product_residual(rho) -> float:
+    return frob_norm(rho - kron(partial_trace_b(rho), partial_trace_a(rho)))
 
 
 def is_product(rho) -> float:
     """The product witness ||rho - rho_A @ rho_B||_F."""
     rho = np.asarray(rho, dtype=complex)
     _require_finite(rho, "is_product")
-    return frob_norm(rho - kron(partial_trace_b(rho), partial_trace_a(rho)))
+    return _product_residual(rho)
+
+
+def _ppt(w):
+    # (negativity, min eigenvalue) of the ascending partial-transpose spectrum
+    return float(np.abs(w[w < 0.0]).sum()), float(w[0])
 
 
 def separable_ppt(rho):
@@ -124,8 +145,11 @@ def separable_ppt(rho):
     """
     rho = np.asarray(rho, dtype=complex)
     _require_finite(rho, "separable_ppt")
-    w, _ = herm_eig(partial_transpose_b(rho))
-    return float(np.abs(w[w < 0.0]).sum()), float(w[0])
+    return _ppt(herm_eig(partial_transpose_b(rho))[0])
+
+
+def _purity(rho) -> float:
+    return float(np.einsum("ij,ji->", rho, rho).real)
 
 
 def pure_schmidt(rho):
@@ -137,9 +161,8 @@ def pure_schmidt(rho):
     """
     rho = np.asarray(rho, dtype=complex)
     _require_finite(rho, "pure_schmidt")
-    purity = float(np.einsum("ij,ji->", rho, rho).real)
     w = np.clip(qubit_spectrum(partial_trace_b(rho)), 0.0, None)
-    return purity, np.sqrt(w[::-1])
+    return _purity(rho), np.sqrt(w[::-1])
 
 
 def classify(rho, tol: float = DEFAULT_TOL) -> Classification:
@@ -165,18 +188,19 @@ def classify(rho, tol: float = DEFAULT_TOL) -> Classification:
         )
 
     rho = g.herm
-    params = _fano_params(rho)
+    c = _coeffs(rho)
     comm_norm = _commutator_witness(rho)
-    residual = lazy_by_parallelism(params)
+    residual = _parallel_residual(c[1:, 0], c[1:, 1:])
     if abs(comm_norm - residual) > _ROUTE_AGREEMENT * max(1.0, comm_norm):
         raise ConsistencyError(
             "laziness routes disagree: commutator norm "
             f"{comm_norm:.3e}, parallelism residual {residual:.3e}"
         )
-    sigma_2, _ = zero_discord_a(params)
-    product_residual = is_product(rho)
-    negativity, min_pt_eig = separable_ppt(rho)
-    purity, _ = pure_schmidt(rho)
+    sigma_2, _ = _discord_svd(c[1:])
+    product_residual = _product_residual(rho)
+    # the gate's herm is exactly Hermitian, and so is its partial transpose
+    negativity, min_pt_eig = _ppt(np.linalg.eigh(partial_transpose_b(rho))[0])
+    purity = _purity(rho)
     witnesses = {
         "commutator_norm": comm_norm,
         "parallel_residual": residual,

@@ -196,8 +196,14 @@ def _cmd_dynamics_check(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    # and every subparser: a usage error is one stderr line, no usage text
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lazystates",
         description="Classify 2-qubit states into the laziness / discord / "
         "entanglement hierarchy.  Angles are radians.",

@@ -9,8 +9,10 @@ shows a nonzero rate under them.
 
 One bounded cache, of _PROPAGATOR_CACHE_SIZE entries, holds per (seed,
 step) the read-only step propagator u = e^{-ih·step} and u†, so repeated
-checks in one process build, eigensolve and exponentiate no coupling again.
-The step guard runs before anything is cached.  Rates come from one stacked
+checks in one process build, eigensolve and exponentiate no coupling again;
+a check caches only its first _PROPAGATOR_CACHE_SIZE couplings, as more,
+walked in order, would each be evicted just before their next use.  The
+step guard runs before anything is cached.  Rates come from one stacked
 pass over chunks of at most _PROPAGATOR_CACHE_SIZE pairs, stacked per call
 and never cached, so a check holds at most 128 KB of stacked propagators,
 however many couplings it samples; a single rate is a stack of one.
@@ -175,9 +177,11 @@ def laziness_dynamics_check(
     comm = _commutator_witness(rho)
     lazy = comm <= DEFAULT_TOL
     caution = _pure_marginal(rho)
-    rates = _entropy_rates(
-        rho, (_propagator(seed + k, step) for k in range(n_hamiltonians)), step
+    propagators = (
+        (_propagator if k < _PROPAGATOR_CACHE_SIZE else _propagator.__wrapped__)(seed + k, step)
+        for k in range(n_hamiltonians)
     )
+    rates = _entropy_rates(rho, propagators, step)
     max_abs = max(abs(r) for r in rates)
     consistent, gray = _consistency(lazy, max_abs, comm, rate_tol, nonzero_tol)
     return DynamicsCheckReport(

@@ -32,7 +32,6 @@ from .matcore import (
     _require_tol,
     det3,
     dot3,
-    herm_eig,
     kron,
     svd3,
 )
@@ -114,18 +113,18 @@ def _gate(rho, who: str, tol: float) -> _Gated:
     scale = 1.0 if norm < np.inf else 2.0**-600
     m = rho * scale
     herm = (m + m.conj().T) / 2.0
-    w, _ = herm_eig(herm)
-    min_eig = float(w[0]) / scale
+    # no herm_eig: herm is its own conjugate transpose entry by entry, and
+    # finite, as ||m||_F, rescaled above if it overflowed, keeps each entry below 1e155
+    min_eig = float(np.linalg.eigh(herm)[0][0]) / scale
     tdev = float(abs(np.trace(rho) - 1.0))
     physical = hermitian and tdev <= tol and min_eig >= -tol
     report = PhysicalityReport(physical, hres, tdev, min_eig)
     return _Gated(rho, herm, scale != 1.0, hermitian, report)
 
 
-def _fano_params(m) -> FanoParams:
-    """(x, y, T) of a complex 4x4 matrix m, which is not checked."""
-    coeffs = np.einsum("kab,ba->k", PAULI_BASIS, m).real.reshape(4, 4)
-    return FanoParams(x=coeffs[1:, 0], y=coeffs[0, 1:], t=coeffs[1:, 1:])
+def _coeffs(m):
+    """[[tr m, y], [x, T]]: c[i, j] = tr(m s_i@s_j), s_0 = I, for an unchecked m."""
+    return np.einsum("kab,ba->k", PAULI_BASIS, m).real.reshape(4, 4)
 
 
 def _decomposed(g: _Gated) -> FanoParams:
@@ -136,7 +135,8 @@ def _decomposed(g: _Gated) -> FanoParams:
         raise ValueError(f"decompose: matrix is not Hermitian within {STATE_TOL:g}")
     if g.report.trace_deviation > STATE_TOL:
         raise ValueError(f"decompose: matrix trace deviates from 1 beyond {STATE_TOL:g}")
-    return _fano_params(g.rho)
+    c = _coeffs(g.rho)
+    return FanoParams(x=c[1:, 0], y=c[0, 1:], t=c[1:, 1:])
 
 
 def decompose(rho) -> FanoParams:

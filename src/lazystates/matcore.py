@@ -10,7 +10,9 @@ local normal form: when singular values repeat, the singular vectors are
 not unique, and normal-form output pins the choice.  svd3 makes that
 choice in CPython float arithmetic with math.sqrt and math.hypot, calling
 neither BLAS nor LAPACK, so it is the same whichever kernel OpenBLAS picks
-at run time.  herm_eig and svd3 raise ValueError on non-finite input.
+at run time.  herm_eig and svd3 raise ValueError on non-finite input;
+herm_eig guards matrices a caller supplies, while the state gate's exactly
+Hermitian part and its partial transpose go to np.linalg.eigh directly.
 """
 
 from __future__ import annotations

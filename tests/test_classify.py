@@ -10,6 +10,7 @@ from lazystates import fano, matcore
 
 from lazystates.classify import (
     DEFAULT_TOL as TOL,
+    WITNESS_KEYS,
     classify,
     is_product,
     lazy_by_commutator,
@@ -479,6 +480,76 @@ def test_verdicts_pinned_on_seeded_corpus():
     assert digest == "9fc2516103a2ba55e7e84e5f6c646902b09376da5d7efe158a7b3f71031aabf2"
 
 
+def _hex(values):
+    return {key: float(value).hex() for key, value in values.items()}
+
+
+def test_classify_reads_the_bits_of_the_public_predicates():
+    # classify calls bare witness kernels, the public predicates guard the
+    # same kernels: on the corpus of test_verdicts_pinned_on_seeded_corpus
+    # both give the same bits, the sign of zero included
+    rng = np.random.default_rng(2024)
+    physical = 0
+    for draw in CORPUS_KINDS.values():
+        for _ in range(200):
+            rho = draw(rng)
+            cls = classify(rho)
+            report = validate(rho)
+            expected = {k: v for k, v in vars(report).items() if k != "physical"}
+            assert _hex(cls.diagnostics) == _hex(expected)
+            if not cls.physical:
+                assert cls.witnesses == dict.fromkeys(WITNESS_KEYS)
+                continue
+            physical += 1
+            herm = fano.certify(rho, "test")
+            p = decompose(herm)
+            negativity, min_pt_eig = separable_ppt(herm)
+            expected = {
+                "commutator_norm": lazy_by_commutator(rho),
+                "parallel_residual": lazy_by_parallelism(p),
+                "negativity": negativity,
+                "min_eigenvalue": report.min_eigenvalue,
+                "product_residual": is_product(herm),
+            }
+            assert _hex(cls.witnesses) == _hex(expected)
+            # the kernel keeps the bits of the np.cross form it replaced
+            cross = 0.5 * np.linalg.norm(np.cross(p.x, p.t.T))
+            assert expected["parallel_residual"].hex() == cross.hex()
+            # the verdicts whose witness classify does not report
+            assert cls.zero_discord_a == (zero_discord_a(p)[0] <= TOL)
+            assert cls.pure == (not pure_schmidt(herm)[0] < 1.0 - TOL)
+            assert cls.separable == (min_pt_eig >= -TOL)
+    assert physical == 1800
+
+
+def _counted(calls, name, call):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return call(*args, **kwargs)
+
+    return counted
+
+
+def test_classify_runs_two_eigensolves_and_one_svd(monkeypatch, bell_phi_plus):
+    # the gate's eigh and the partial transpose's, and the [x | T] SVD; the
+    # guarded herm_eig would re-check matrices the gate built Hermitian
+    calls = Counter()
+    for name in ("eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, _counted(calls, name, getattr(np.linalg, name)))
+    for module in [m for n, m in sys.modules.items() if n.startswith("lazystates.")]:
+        if hasattr(module, "herm_eig"):
+            monkeypatch.setattr(module, "herm_eig", _counted(calls, "herm_eig", module.herm_eig))
+    rng = np.random.default_rng(7)
+    for rho in (bell_phi_plus, np.eye(4) / 4, ginibre_state(rng), random_product_state(rng)):
+        calls.clear()
+        assert classify(rho).physical
+        assert calls == {"eigh": 2, "svd": 1}
+    for rho in (np.diag([1.5, -0.5, 0.0, 0.0]), random_hermitian(rng), np.eye(4)):
+        calls.clear()
+        assert not classify(rho).physical
+        assert calls == {"eigh": 1}
+
+
 def test_pure_state_lazy_iff_product_or_maximally_entangled():
     rng = np.random.default_rng(109)
     checked = Counter()
@@ -551,6 +622,15 @@ def _found_separable_ppt(bell):
 )
 def test_formerly_wrong_predicate_calls(check, bell_phi_plus):
     check(bell_phi_plus)
+
+
+def test_separable_ppt_keeps_the_hermiticity_guard():
+    # classify skips it for the gate's exactly Hermitian matrix; a matrix a
+    # caller passes is still checked
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[0, 3] = 0.1
+    with pytest.raises(ValueError, match="herm_eig: input is not Hermitian"):
+        separable_ppt(rho)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

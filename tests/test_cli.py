@@ -277,23 +277,31 @@ def test_exit_2_out_of_memory(monkeypatch, capsys):
     assert captured.err == "error: out of memory: Unable to allocate 7.28 TiB\n"
 
 
+def _usage_error(*args):
+    """The CLI's exit code for args, once its stderr is one line and stdout empty."""
+    result = run_cli(*args)
+    assert len(result.stderr.splitlines()) == 1 and result.stdout == "", result.stderr
+    return result.returncode
+
+
 def test_exit_2_usage_errors():
-    assert run_cli("bd", "slice", "--axis", "5", "--value", "0", "--grid", "4").returncode == 2
-    assert run_cli("bd", "slice", "--axis", "1", "--value", "1.5", "--grid", "4").returncode == 2
-    assert run_cli("bd", "slice", "--axis", "1", "--value", "0", "--grid", "1").returncode == 2
-    assert run_cli("bd", "census", "--samples", "0", "--seed", "1").returncode == 2
-    assert run_cli("bd", "census", "--samples", "10", "--seed", "-1").returncode == 2
-    assert run_cli("bd", "classify", "--lambda", "0,0").returncode == 2
-    assert run_cli("bd", "classify", "--lambda", "0,0,1.5").returncode == 2
-    assert run_cli("bd", "classify", "--lambda", "nan,0,0").returncode == 2
-    assert run_cli("bd", "classify", "--lambda", "0,0,0", "--tol", "nan").returncode == 2
+    # argparse's usage text is left out: a usage error is one stderr line
+    assert _usage_error("bd", "slice", "--axis", "5", "--value", "0", "--grid", "4") == 2
+    assert _usage_error("bd", "slice", "--axis", "1", "--value", "1.5", "--grid", "4") == 2
+    assert _usage_error("bd", "slice", "--axis", "1", "--value", "0", "--grid", "1") == 2
+    assert _usage_error("bd", "census", "--samples", "0", "--seed", "1") == 2
+    assert _usage_error("bd", "census", "--samples", "10", "--seed", "-1") == 2
+    assert _usage_error("bd", "classify", "--lambda", "0,0") == 2
+    assert _usage_error("bd", "classify", "--lambda", "0,0,1.5") == 2
+    assert _usage_error("bd", "classify", "--lambda", "nan,0,0") == 2
+    assert _usage_error("bd", "classify", "--lambda", "0,0,0", "--tol", "nan") == 2
     bell = str(FIXTURES / "bell.json")
-    assert run_cli("dynamics-check", bell, "--step", "0.01").returncode == 2
+    assert _usage_error("dynamics-check", bell, "--step", "0.01") == 2
     for bad in ("nan", "-1", "0", "inf"):
-        assert run_cli("classify", bell, "--tol", bad).returncode == 2
-    assert run_cli("dynamics-check", bell, "--rate-tol", "nan").returncode == 2
-    assert run_cli("dynamics-check", bell, "--nonzero-tol", "-1").returncode == 2
-    assert run_cli("nonsense-command").returncode == 2
+        assert _usage_error("classify", bell, "--tol", bad) == 2
+    assert _usage_error("dynamics-check", bell, "--rate-tol", "nan") == 2
+    assert _usage_error("dynamics-check", bell, "--nonzero-tol", "-1") == 2
+    assert _usage_error("nonsense-command") == 2
 
 
 @pytest.mark.parametrize(
@@ -321,8 +329,9 @@ def test_census_workers_are_capped(capsys):
     with pytest.raises(SystemExit) as exc:
         parser.parse_args([*argv, str(cli.MAX_WORKERS + 1)])
     assert exc.value.code == 2
-    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-    assert errors == [
+    err = capsys.readouterr().err.splitlines()
+    errors = [line for line in err if "error:" in line]
+    assert errors == err == [
         "lazystates bd census: error: argument --workers: "
         f"must lie in [1, {cli.MAX_WORKERS}]"
     ]

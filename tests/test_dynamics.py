@@ -405,6 +405,20 @@ def test_stacked_rates_match_the_reference_under_the_prescott_kernel():
     assert result.returncode == 0, result.stderr
 
 
+def test_repeated_check_past_the_cache_size_hits_the_cache():
+    # couplings past the cache size are built uncached; cycled through the
+    # cache in order, each would be evicted just before its next use
+    rho = ginibre_state(np.random.default_rng(9))
+    n = _PROPAGATOR_CACHE_SIZE + 1
+    _propagator.cache_clear()
+    first = laziness_dynamics_check(rho, n, seed=5000)
+    assert _propagator.cache_info()[:2] == (0, _PROPAGATOR_CACHE_SIZE)  # hits, misses
+    second = laziness_dynamics_check(rho, n, seed=5000)
+    assert _propagator.cache_info()[:2] == (_PROPAGATOR_CACHE_SIZE, _PROPAGATOR_CACHE_SIZE)
+    assert repr(second) == repr(first)
+    assert repr(first.rates) == repr(_reference_rates(rho, n, 5000, DEFAULT_STEP))
+
+
 def test_propagators_are_keyed_by_seed_and_step():
     # alternating steps and overlapping seed ranges on a warm cache: a key
     # that dropped the step or shifted the seed would hand back a wrong pair

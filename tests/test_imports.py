@@ -45,3 +45,20 @@ def test_no_unused_module_level_imports():
         hit for path in paths if path.name != "__init__.py" for hit in _unused_imports(path)
     ]
     assert unused == []
+
+
+def test_package_exports_exactly_its_public_names():
+    # __all__ is built from the package's imports; no submodule leaks into it
+    import lazystates
+
+    assert sorted(lazystates.__all__) == sorted(
+        """CensusReport Classification ConsistencyError DEFAULT_TOL DynamicsCheckReport
+        FanoParams LazyDiscordantParams NormalForm PhysicalityReport REGION_LABELS
+        SeparableFamilyParams SliceGrid StateFileError __version__ bd_census bd_compose
+        bd_region bd_slice bd_spectrum census_to_csv classify compose decompose
+        entropy_rate_at_zero is_product laziness_dynamics_check lazy_by_commutator
+        lazy_by_parallelism lazy_discordant_compose lazy_discordant_spectrum
+        load_state_file normal_form pure_schmidt save_state_file separable_classify
+        separable_compose separable_fano separable_ppt slice_to_csv validate
+        zero_discord_a""".split()
+    )
