@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .matcore import PAULIS, _require_tol, kron
+from .matcore import PAULIS, InvalidArgument, _require_tol, kron
 
 BOUNDARY_TOL = 1e-9
 
@@ -37,6 +37,9 @@ TETRA_VERTICES = np.array(
 # fixed census block size; samples are generated per (seed, block index), so
 # counts cannot depend on how blocks are distributed over workers
 _CENSUS_BLOCK = 1 << 16
+
+# bd_census takes at most this many workers: it starts a thread per worker
+MAX_WORKERS = 64
 
 # rows per _label_points chunk: 8192 float64 values make a 64 KB temporary
 _LABEL_CHUNK = 1 << 13
@@ -152,11 +155,16 @@ def bd_census(samples: int, seed: int, workers: int = 1) -> CensusReport:
     each block draws from its own seeded stream, so the counts are identical
     for any worker count.  Samples within BOUNDARY_TOL of a region boundary
     are tallied separately as boundary hits (they still receive their label).
+    workers must lie in [1, MAX_WORKERS].
     """
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise InvalidArgument(f"bd_census: samples must be >= 1 (got {samples!r})")
     if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
+        raise InvalidArgument(f"bd_census: seed must be >= 0 (got {seed!r})")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise InvalidArgument(
+            f"bd_census: workers must lie in [1, {MAX_WORKERS}] (got {workers!r})"
+        )
     nblocks = (samples + _CENSUS_BLOCK - 1) // _CENSUS_BLOCK
     blocks = [
         (bi, min(_CENSUS_BLOCK, samples - bi * _CENSUS_BLOCK)) for bi in range(nblocks)
@@ -169,7 +177,7 @@ def bd_census(samples: int, seed: int, workers: int = 1) -> CensusReport:
 
     counts = np.zeros(5, dtype=np.int64)
     boundary_hits = 0
-    if workers <= 1:
+    if workers == 1:
         results = map(_work, blocks)
     else:
         # imported here: only --workers pays for loading concurrent.futures
@@ -202,11 +210,11 @@ def bd_slice(axis: int, value: float, grid: int) -> SliceGrid:
     lower-numbered free axis.
     """
     if axis not in (1, 2, 3):
-        raise ValueError("axis must be 1, 2 or 3")
+        raise InvalidArgument(f"bd_slice: axis must be 1, 2 or 3 (got {axis!r})")
     if not -1.0 <= value <= 1.0:
-        raise ValueError("value must lie in [-1, 1]")
+        raise InvalidArgument(f"bd_slice: value must lie in [-1, 1] (got {value!r})")
     if grid < 2:
-        raise ValueError("grid must be >= 2")
+        raise InvalidArgument(f"bd_slice: grid must be >= 2 (got {grid!r})")
     free = tuple(a for a in (1, 2, 3) if a != axis)
     coords = np.linspace(-1.0, 1.0, grid)
     f1, f2 = np.meshgrid(coords, coords, indexing="ij")

@@ -4,10 +4,14 @@ Commands: classify, normal-form, bd classify|census|slice,
 family lazy-discordant|separable, dynamics-check.  Outputs are JSON with
 sorted keys or CSV, both byte-deterministic for a fixed command line.
 
+The CLI only parses: argparse rejects a flag that is not a number, and the
+library call the flag feeds rejects one out of range with InvalidArgument.
+
 Exit codes: 0 success, 1 invalid state or family parameters, 2 parse/usage
-error, an unreadable or unwritable state file or a request too large for
-memory, 3 classifier/dynamics inconsistency or a numerical solver failure,
-141 (128 + SIGPIPE) stdout closed by its reader before the output was written.
+error, an argument out of range, an unreadable or unwritable state file or
+a request too large for memory, 3 classifier/dynamics inconsistency or a
+numerical solver failure, 141 (128 + SIGPIPE) stdout closed by its reader
+before the output was written.
 """
 
 from __future__ import annotations
@@ -16,12 +20,19 @@ import argparse
 import contextlib
 import io
 import json
-import math
 import os
 import sys
 
 from ._version import __version__
-from .belldiag import BOUNDARY_TOL, bd_census, bd_region, bd_slice, census_to_csv, slice_to_csv
+from .belldiag import (
+    BOUNDARY_TOL,
+    MAX_WORKERS,
+    bd_census,
+    bd_region,
+    bd_slice,
+    census_to_csv,
+    slice_to_csv,
+)
 from .classify import DEFAULT_TOL, ConsistencyError, classify
 from .dynamics import (
     DEFAULT_STEP,
@@ -36,6 +47,7 @@ from .families import (
     separable_compose,
 )
 from .fano import STATE_TOL, _certified, _decomposed, _gate, normal_form
+from .matcore import InvalidArgument
 from .stateio import StateFileError, load_state_file, save_state_file, state_to_dict
 
 EXIT_OK = 0
@@ -43,7 +55,6 @@ EXIT_INVALID_STATE = 1
 EXIT_USAGE = 2
 EXIT_INCONSISTENT = 3
 EXIT_BROKEN_PIPE = 141
-MAX_WORKERS = 64  # bd census --workers at most: the census starts a thread per worker
 
 
 def _print_json(doc) -> None:
@@ -61,57 +72,6 @@ def _lambda_triple(text):
     if not all(-1.0 <= v <= 1.0 for v in lam):
         raise argparse.ArgumentTypeError("lambda components must lie in [-1, 1]")
     return lam
-
-
-def _positive_tol(text):
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError("must be a finite number > 0")
-    return value
-
-
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
-def _worker_count(text):
-    value = int(text)
-    if not 1 <= value <= MAX_WORKERS:
-        raise argparse.ArgumentTypeError(f"must lie in [1, {MAX_WORKERS}]")
-    return value
-
-
-def _nonnegative_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
-
-
-def _grid_size(text):
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("must be >= 2")
-    return value
-
-
-def _unit_range(text):
-    value = float(text)
-    if not -1.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError("must lie in [-1, 1]")
-    return value
-
-
-def _step_size(text):
-    value = float(text)
-    if not 0.0 < value <= 1e-3:
-        raise argparse.ArgumentTypeError(
-            "must satisfy 0 < step <= 1e-3 (couplings have unit spectral norm)"
-        )
-    return value
 
 
 def _cmd_classify(args) -> int:
@@ -213,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify a state file")
     p.add_argument("state", help="path to a JSON state file")
-    p.add_argument("--tol", type=_positive_tol, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("normal-form", help="local normal form of a state file")
@@ -225,17 +185,17 @@ def _build_parser() -> argparse.ArgumentParser:
     q = bd_sub.add_parser("classify", help="region label of a cube point")
     q.add_argument("--lambda", dest="lam", type=_lambda_triple, required=True,
                    metavar="L1,L2,L3")
-    q.add_argument("--tol", type=_positive_tol, default=BOUNDARY_TOL)
+    q.add_argument("--tol", type=float, default=BOUNDARY_TOL)
     q.set_defaults(func=_cmd_bd)
     q = bd_sub.add_parser("census", help="Monte Carlo region census (CSV)")
-    q.add_argument("--samples", type=_positive_int, required=True)
-    q.add_argument("--seed", type=_nonnegative_int, required=True)
-    q.add_argument("--workers", type=_worker_count, default=1, help=f"at most {MAX_WORKERS}")
+    q.add_argument("--samples", type=int, required=True)
+    q.add_argument("--seed", type=int, required=True)
+    q.add_argument("--workers", type=int, default=1, help=f"at most {MAX_WORKERS}")
     q.set_defaults(func=_cmd_bd)
     q = bd_sub.add_parser("slice", help="region labels on a plane (CSV)")
     q.add_argument("--axis", type=int, choices=(1, 2, 3), required=True)
-    q.add_argument("--value", type=_unit_range, required=True)
-    q.add_argument("--grid", type=_grid_size, required=True)
+    q.add_argument("--value", type=float, required=True)
+    q.add_argument("--grid", type=int, required=True)
     q.set_defaults(func=_cmd_bd)
 
     p = sub.add_parser("family", help="generate a witness-family state file")
@@ -257,11 +217,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dynamics-check", help="entropy-rate self test of laziness")
     p.add_argument("state")
-    p.add_argument("--hamiltonians", type=_positive_int, default=20)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--step", type=_step_size, default=DEFAULT_STEP)
-    p.add_argument("--rate-tol", type=_positive_tol, default=RATE_TOL_ZERO)
-    p.add_argument("--nonzero-tol", type=_positive_tol, default=RATE_TOL_NONZERO)
+    p.add_argument("--hamiltonians", type=int, default=20)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--step", type=float, default=DEFAULT_STEP)
+    p.add_argument("--rate-tol", type=float, default=RATE_TOL_ZERO)
+    p.add_argument("--nonzero-tol", type=float, default=RATE_TOL_NONZERO)
     p.set_defaults(func=_cmd_dynamics_check)
 
     return parser
@@ -290,7 +250,7 @@ def main(argv=None) -> int:
         os.close(devnull)
         print("error: stdout was closed before the output was written", file=sys.stderr)
         return EXIT_BROKEN_PIPE
-    except StateFileError as exc:
+    except (StateFileError, InvalidArgument) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

@@ -12,7 +12,10 @@ step) the read-only step propagator u = e^{-ih·step} and u†, so repeated
 checks in one process build, eigensolve and exponentiate no coupling again;
 a check caches only its first _PROPAGATOR_CACHE_SIZE couplings, as more,
 walked in order, would each be evicted just before their next use.  The
-step guard runs before anything is cached.  Rates come from one stacked
+check range-checks every argument before it certifies the state or caches
+anything; its couplings have unit spectral norm, so 0 < step <= 1e-3 meets
+the step guard step * spectral_norm(h) <= 1e-3, which entropy_rate_at_zero
+applies to the coupling its caller passes.  Rates come from one stacked
 pass over chunks of at most _PROPAGATOR_CACHE_SIZE pairs, stacked per call
 and never cached, so a check holds at most 128 KB of stacked propagators,
 however many couplings it samples; a single rate is a stack of one.
@@ -29,7 +32,7 @@ import numpy as np
 
 from .classify import DEFAULT_TOL, _commutator_witness
 from .fano import certify
-from .matcore import _require_tol, herm_eig, partial_trace_b
+from .matcore import InvalidArgument, _require_tol, herm_eig, partial_trace_b
 
 DEFAULT_STEP = 1e-4
 RATE_TOL_ZERO = 1e-6
@@ -63,7 +66,8 @@ def _coupling(seed: int):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = (g + g.conj().T) / 2.0
-    w, _ = herm_eig(h)
+    # no herm_eig: h is finite and its own conjugate transpose entry by entry
+    w, _ = np.linalg.eigh(h)
     return h / max(abs(float(w[0])), abs(float(w[-1])))
 
 
@@ -82,15 +86,18 @@ def _marginal_entropies(m) -> list:
     return (-(w * log_w).sum(axis=-1)).tolist()
 
 
-def _step_propagators(h, step):
-    """(u, u†) with u = e^{-ih·step}, once the step passes the guard."""
-    w, v = herm_eig(h)
-    spectral = max(abs(float(w[0])), abs(float(w[-1])))
+def _require_step(step, spectral):
+    """Reject a step unless 0 < step * spectral <= 1e-3, with the one message
+    that the check and entropy_rate_at_zero share."""
     if not 0.0 < step * spectral <= 1e-3:
-        raise ValueError(
-            "entropy_rate_at_zero: require 0 < step * spectral_norm(h) <= 1e-3 "
-            f"(got step={step}, spectral norm={spectral:.3g})"
+        raise InvalidArgument(
+            "entropy_rate_at_zero: step out of range, require 0 < step * "
+            f"spectral_norm(h) <= 1e-3 (got step={step}, spectral norm={spectral:.3g})"
         )
+
+
+def _step_propagators(w, v, step):
+    """(u, u†) with u = e^{-ih·step}, for h = v diag(w) v†."""
     u = (v * np.exp(-1j * w * step)) @ v.conj().T
     return u, u.conj().T
 
@@ -98,7 +105,8 @@ def _step_propagators(h, step):
 @functools.lru_cache(maxsize=_PROPAGATOR_CACHE_SIZE, typed=True)
 def _propagator(seed: int, step: float):
     """Read-only _step_propagators of the coupling of seed."""
-    u, u_dag = _step_propagators(_coupling(seed), step)
+    # no herm_eig: the coupling is finite and exactly Hermitian, as _coupling's h
+    u, u_dag = _step_propagators(*np.linalg.eigh(_coupling(seed)), step)
     # u_dag is a transposed view; its base is locked too
     for a in (u, u_dag, u_dag.base):
         a.flags.writeable = False
@@ -130,12 +138,15 @@ def entropy_rate_at_zero(rho, h, step: float = DEFAULT_STEP) -> float:
     Hermitian coupling h.
 
     Requires 0 < step * spectral_norm(h) <= 1e-3 so the O(step^2) truncation
-    stays far below the zero/nonzero decision thresholds.  A pure first-qubit
+    stays far below the zero/nonzero decision thresholds; h passes herm_eig's
+    guard, and both checks run before rho is read.  A pure first-qubit
     marginal makes the derivative ill conditioned; laziness_dynamics_check
     flags it as caution.
     """
+    w, v = herm_eig(h)
+    _require_step(step, max(abs(float(w[0])), abs(float(w[-1]))))
     rho = certify(rho, "entropy_rate_at_zero")
-    return _entropy_rates(rho, [_step_propagators(h, step)], step)[0]
+    return _entropy_rates(rho, [_step_propagators(w, v, step)], step)[0]
 
 
 def _consistency(lazy, max_rate, comm_norm, rate_tol, nonzero_tol):
@@ -162,18 +173,20 @@ def laziness_dynamics_check(
     Consistent means (lazy and max |rate| <= rate_tol) or (non-lazy and
     max |rate| > nonzero_tol).  An inconsistent result whose commutator norm
     falls in COMM_GRAY_ZONE is a boundary case to log, not a failure.
-    rate_tol and nonzero_tol must be finite and > 0.
+    Requires n_hamiltonians >= 1, seed >= 0, 0 < step <= 1e-3, and rate_tol
+    and nonzero_tol finite and > 0; each is checked before rho is read.
     """
+    who = "laziness_dynamics_check"
     if n_hamiltonians < 1:
-        raise ValueError(
-            "laziness_dynamics_check: n_hamiltonians must be at least 1 "
-            f"(got {n_hamiltonians})"
-        )
-    _require_tol(rate_tol, "laziness_dynamics_check", "rate_tol")
-    _require_tol(nonzero_tol, "laziness_dynamics_check", "nonzero_tol")
+        raise InvalidArgument(f"{who}: n_hamiltonians must be at least 1 (got {n_hamiltonians})")
+    if seed < 0:
+        raise InvalidArgument(f"{who}: seed must be >= 0 (got {seed!r})")
+    _require_step(step, 1.0)  # every coupling has unit spectral norm
+    _require_tol(rate_tol, who, "rate_tol")
+    _require_tol(nonzero_tol, who, "nonzero_tol")
     # the check's one physicality gate; the witness and every rate then see
     # the Hermitian part
-    rho = certify(rho, "laziness_dynamics_check")
+    rho = certify(rho, who)
     comm = _commutator_witness(rho)
     lazy = comm <= DEFAULT_TOL
     caution = _pure_marginal(rho)

@@ -11,8 +11,9 @@ not unique, and normal-form output pins the choice.  svd3 makes that
 choice in CPython float arithmetic with math.sqrt and math.hypot, calling
 neither BLAS nor LAPACK, so it is the same whichever kernel OpenBLAS picks
 at run time.  herm_eig and svd3 raise ValueError on non-finite input;
-herm_eig guards matrices a caller supplies, while the state gate's exactly
-Hermitian part and its partial transpose go to np.linalg.eigh directly.
+herm_eig guards matrices a caller supplies, while the exactly Hermitian
+state-gate part, its partial transpose and the seeded couplings go to
+np.linalg.eigh directly.
 """
 
 from __future__ import annotations
@@ -106,9 +107,14 @@ def _require_finite(m, who):
         raise ValueError(f"{who}: input has non-finite entries")
 
 
+class InvalidArgument(ValueError):
+    """An argument outside its range, named as `<function>: <argument> ...`;
+    each library entry raises it before it reads a state or starts work."""
+
+
 def _require_tol(value, who, name):
     if not 0.0 < value < math.inf:
-        raise ValueError(f"{who}: {name} must be a finite number > 0 (got {value!r})")
+        raise InvalidArgument(f"{who}: {name} must be a finite number > 0 (got {value!r})")
 
 
 def herm_eig(m):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from lazystates import belldiag
 from lazystates.belldiag import (
     BOUNDARY_TOL,
+    MAX_WORKERS,
     REGION_LABELS,
     TETRA_VERTICES,
     _CENSUS_BLOCK,
@@ -18,7 +20,7 @@ from lazystates.belldiag import (
 )
 from lazystates.classify import classify
 from lazystates.fano import decompose, validate
-from lazystates.matcore import herm_eig
+from lazystates.matcore import InvalidArgument, herm_eig
 
 
 def test_bd_compose_examples(bell_phi_plus, maximally_mixed):
@@ -240,6 +242,18 @@ def test_census_rejects_bad_arguments():
         bd_census(0, seed=1)
     with pytest.raises(ValueError):
         bd_census(10, seed=-1)
+
+
+@pytest.mark.parametrize("workers", [0, -3, MAX_WORKERS + 1])
+def test_census_rejects_a_worker_count_before_any_block(monkeypatch, workers):
+    labeled = []
+    monkeypatch.setattr(belldiag, "_label_points", lambda *args: labeled.append(args))
+    with pytest.raises(InvalidArgument) as exc:
+        bd_census(10, seed=1, workers=workers)
+    assert str(exc.value) == (
+        f"bd_census: workers must lie in [1, {MAX_WORKERS}] (got {workers})"
+    )
+    assert labeled == []
 
 
 def test_census_csv_schema():

@@ -278,9 +278,11 @@ def test_exit_2_out_of_memory(monkeypatch, capsys):
 
 
 def _usage_error(*args):
-    """The CLI's exit code for args, once its stderr is one line and stdout empty."""
+    """The CLI's exit code for args, once its stderr is one line and stdout
+    empty, and the line names no private helper of the CLI."""
     result = run_cli(*args)
     assert len(result.stderr.splitlines()) == 1 and result.stdout == "", result.stderr
+    assert "invalid _" not in result.stderr
     return result.returncode
 
 
@@ -291,12 +293,18 @@ def test_exit_2_usage_errors():
     assert _usage_error("bd", "slice", "--axis", "1", "--value", "0", "--grid", "1") == 2
     assert _usage_error("bd", "census", "--samples", "0", "--seed", "1") == 2
     assert _usage_error("bd", "census", "--samples", "10", "--seed", "-1") == 2
+    assert _usage_error("bd", "census", "--samples", "abc", "--seed", "1") == 2
+    assert _usage_error("bd", "census", "--samples", "10", "--seed", "1", "--workers", "0") == 2
     assert _usage_error("bd", "classify", "--lambda", "0,0") == 2
     assert _usage_error("bd", "classify", "--lambda", "0,0,1.5") == 2
     assert _usage_error("bd", "classify", "--lambda", "nan,0,0") == 2
     assert _usage_error("bd", "classify", "--lambda", "0,0,0", "--tol", "nan") == 2
     bell = str(FIXTURES / "bell.json")
     assert _usage_error("dynamics-check", bell, "--step", "0.01") == 2
+    assert _usage_error("dynamics-check", bell, "--hamiltonians", "0") == 2
+    assert _usage_error("dynamics-check", bell, "--seed", "-1") == 2
+    # the step is checked before the state is judged: exit 2, not 1
+    assert _usage_error("dynamics-check", str(FIXTURES / "trace_low.json"), "--step", "0.01") == 2
     for bad in ("nan", "-1", "0", "inf"):
         assert _usage_error("classify", bell, "--tol", bad) == 2
     assert _usage_error("dynamics-check", bell, "--rate-tol", "nan") == 2
@@ -319,22 +327,33 @@ def test_exit_2_out_cannot_be_written(tmp_path, family, out):
     assert len(result.stderr.splitlines()) == 1, result.stderr
 
 
-def test_census_workers_are_capped(capsys):
-    # parsed only: the census starts one thread per worker
-    from lazystates import cli
+def test_census_workers_are_capped(monkeypatch, capsys):
+    # bd_census owns the cap: the census starts one thread per worker
+    from lazystates import belldiag, cli
 
-    parser = cli._build_parser()
     argv = ["bd", "census", "--samples", "1", "--seed", "0", "--workers"]
-    assert parser.parse_args([*argv, str(cli.MAX_WORKERS)]).workers == cli.MAX_WORKERS
-    with pytest.raises(SystemExit) as exc:
-        parser.parse_args([*argv, str(cli.MAX_WORKERS + 1)])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err.splitlines()
+    assert cli.main([*argv, str(belldiag.MAX_WORKERS)]) == 0
+    assert capsys.readouterr().err == ""
+    labeled = []
+    monkeypatch.setattr(belldiag, "_block_points", lambda *block: labeled.append(block))
+    assert cli.main([*argv, str(belldiag.MAX_WORKERS + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and labeled == []
+    err = captured.err.splitlines()
     errors = [line for line in err if "error:" in line]
     assert errors == err == [
-        "lazystates bd census: error: argument --workers: "
-        f"must lie in [1, {cli.MAX_WORKERS}]"
+        f"error: bd_census: workers must lie in [1, {belldiag.MAX_WORKERS}] "
+        f"(got {belldiag.MAX_WORKERS + 1})"
     ]
+
+
+def test_largest_step_is_accepted():
+    # step 1e-3, and 19 of these couplings have a computed spectral norm of 1 + 1 ulp
+    result = run_cli(
+        "dynamics-check", str(FIXTURES / "bell.json"), "--hamiltonians", "50", "--step", "1e-3"
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["consistent"] is True
 
 
 def test_exit_1_family_invariant_violation():

@@ -27,6 +27,7 @@ from lazystates.families import (
 )
 from lazystates.fano import certify
 from lazystates.matcore import (
+    InvalidArgument,
     frob_norm,
     herm_eig,
     hermiticity_residual,
@@ -268,6 +269,7 @@ def test_warm_check_eigensolves_no_coupling(monkeypatch):
     laziness_dynamics_check(rho, 6, seed=70)
     calls = []
     monkeypatch.setattr(dynamics, "herm_eig", lambda m: calls.append(m) or herm_eig(m))
+    monkeypatch.setattr(dynamics, "_coupling", lambda seed: calls.append(seed))
     laziness_dynamics_check(rho, 6, seed=70)
     assert calls == []
 
@@ -464,6 +466,41 @@ def test_rejected_step_leaves_nothing_cached(bell_phi_plus):
 def test_check_needs_a_coupling(bell_phi_plus, n_hamiltonians):
     with pytest.raises(ValueError, match="n_hamiltonians must be at least 1"):
         laziness_dynamics_check(bell_phi_plus, n_hamiltonians)
+
+
+def test_largest_step_is_accepted(bell_phi_plus):
+    # 19 of these couplings have a computed spectral norm of 1 + 1 ulp; the
+    # check bounds the step alone, as its couplings have unit norm
+    report = laziness_dynamics_check(bell_phi_plus, 50, step=1e-3)
+    assert len(report.rates) == 50 and report.consistent
+
+
+def test_check_rejects_a_negative_seed_before_judging_the_state(monkeypatch):
+    judged = []
+    monkeypatch.setattr(dynamics, "certify", lambda *args: judged.append(args))
+    with pytest.raises(InvalidArgument) as exc:
+        laziness_dynamics_check(np.eye(4) / 4, 3, seed=-1)
+    assert str(exc.value) == "laziness_dynamics_check: seed must be >= 0 (got -1)"
+    assert judged == []
+
+
+def test_bad_step_on_an_unphysical_state_is_an_invalid_argument(bell_phi_plus):
+    # the step is checked before the state: the error names the step guard,
+    # not an unphysical state
+    with pytest.raises(InvalidArgument) as exc:
+        laziness_dynamics_check(2.0 * bell_phi_plus, 3, step=0.01)
+    assert str(exc.value).startswith("entropy_rate_at_zero: step out of range, require 0 < step")
+
+
+def test_only_a_callers_coupling_passes_herm_eig(monkeypatch, bell_phi_plus):
+    calls = []
+    monkeypatch.setattr(dynamics, "herm_eig", lambda m: calls.append(m) or herm_eig(m))
+    _propagator.cache_clear()
+    laziness_dynamics_check(bell_phi_plus, 3, seed=7)
+    assert calls == []
+    h = fresh_coupling(7)
+    entropy_rate_at_zero(bell_phi_plus, h)
+    assert len(calls) == 1 and calls[0] is h
 
 
 def test_check_works_on_the_certified_hermitian_part():
