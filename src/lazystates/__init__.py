@@ -27,7 +27,7 @@ from .classify import (
     separable_ppt,
     zero_discord_a,
 )
-from .dynamics import DynamicsCheckReport, entropy_rate_at_zero, laziness_dynamics_check
+from .dynamics import DynamicsCheckReport, laziness_dynamics_check
 from .families import (
     LazyDiscordantParams,
     SeparableFamilyParams,

@@ -166,28 +166,27 @@ def bd_census(samples: int, seed: int, workers: int = 1) -> CensusReport:
             f"bd_census: workers must lie in [1, {MAX_WORKERS}] (got {workers!r})"
         )
     nblocks = (samples + _CENSUS_BLOCK - 1) // _CENSUS_BLOCK
-    blocks = [
-        (bi, min(_CENSUS_BLOCK, samples - bi * _CENSUS_BLOCK)) for bi in range(nblocks)
-    ]
 
-    def _work(block):
-        bi, count = block
-        codes, boundary = _label_points(_block_points(seed, bi, count), BOUNDARY_TOL)
-        return np.bincount(codes, minlength=5), int(boundary.sum())
+    def _work(first):
+        # blocks first, first + workers, ... straight from a range: no block list
+        counts, hits = np.zeros(5, dtype=np.int64), 0
+        for bi in range(first, nblocks, workers):
+            count = min(_CENSUS_BLOCK, samples - bi * _CENSUS_BLOCK)
+            codes, boundary = _label_points(_block_points(seed, bi, count), BOUNDARY_TOL)
+            counts += np.bincount(codes, minlength=5)
+            hits += int(boundary.sum())
+        return counts, hits
 
-    counts = np.zeros(5, dtype=np.int64)
-    boundary_hits = 0
     if workers == 1:
-        results = map(_work, blocks)
+        results = [_work(0)]
     else:
         # imported here: only --workers pays for loading concurrent.futures
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_work, blocks))
-    for block_counts, block_boundary in results:
-        counts += block_counts
-        boundary_hits += block_boundary
+            results = list(pool.map(_work, range(workers)))
+    counts = sum(block_counts for block_counts, _ in results)
+    boundary_hits = sum(hits for _, hits in results)
 
     fractions = {label: counts[i] / samples for i, label in enumerate(REGION_LABELS)}
     stderrs = {

@@ -8,7 +8,8 @@ Both routes measure one number, ||[rho, rho_A @ I]||_F = 0.5 * sqrt(sum_j
 must agree to rounding, which keeps the equivalence under continuous test.
 Physicality is decided once, by fano's state gate at the caller's tol,
 and classify passes the state's Hermitian part unchecked to each witness's
-one kernel, which the public predicate calls after checking its input.
+one kernel.  The public predicates that take a 4x4 state call the same
+kernel on the Hermitian part that certify returns, at its fixed 1e-9.
 Zero discord is the rank of [x | T], read off one LAPACK SVD; separability
 is positivity of the partial transpose, exact for two qubits.  Each
 predicate returns its witnesses only; classify alone compares them with tol.
@@ -23,10 +24,8 @@ import numpy as np
 from .fano import FanoParams, _coeffs, _gate, certify
 from .matcore import (
     I2,
-    _require_finite,
     commutator,
     frob_norm,
-    herm_eig,
     kron,
     partial_trace_a,
     partial_trace_b,
@@ -126,14 +125,16 @@ def _product_residual(rho) -> float:
 
 
 def is_product(rho) -> float:
-    """The product witness ||rho - rho_A @ rho_B||_F."""
-    rho = np.asarray(rho, dtype=complex)
-    _require_finite(rho, "is_product")
-    return _product_residual(rho)
+    """The product witness ||rho - rho_A @ rho_B||_F.
+
+    Raises ValueError on input the state gate rejects at its fixed 1e-9.
+    """
+    return _product_residual(certify(rho, "is_product"))
 
 
-def _ppt(w):
-    # (negativity, min eigenvalue) of the ascending partial-transpose spectrum
+def _ppt(herm):
+    # (negativity, min eigenvalue) of the partial transpose, exactly Hermitian as herm is
+    w = np.linalg.eigh(partial_transpose_b(herm))[0]
     return float(np.abs(w[w < 0.0]).sum()), float(w[0])
 
 
@@ -141,11 +142,10 @@ def separable_ppt(rho):
     """Separability witnesses of the partial transpose (PPT, exact for 2x2).
 
     Returns (negativity, min_pt_eigenvalue), negativity being the summed
-    magnitude of the negative partial-transpose eigenvalues.
+    magnitude of the negative partial-transpose eigenvalues.  Raises
+    ValueError on input the state gate rejects at its fixed 1e-9.
     """
-    rho = np.asarray(rho, dtype=complex)
-    _require_finite(rho, "separable_ppt")
-    return _ppt(herm_eig(partial_transpose_b(rho))[0])
+    return _ppt(certify(rho, "separable_ppt"))
 
 
 def _purity(rho) -> float:
@@ -157,10 +157,10 @@ def pure_schmidt(rho):
 
     The coefficients are the square roots of the marginal's eigenvalues,
     descending; they are Schmidt coefficients only when rho is pure.
-    Returns (purity, schmidt).
+    Returns (purity, schmidt).  Raises ValueError on input the state gate
+    rejects at its fixed 1e-9.
     """
-    rho = np.asarray(rho, dtype=complex)
-    _require_finite(rho, "pure_schmidt")
+    rho = certify(rho, "pure_schmidt")
     w = np.clip(qubit_spectrum(partial_trace_b(rho)), 0.0, None)
     return _purity(rho), np.sqrt(w[::-1])
 
@@ -198,8 +198,7 @@ def classify(rho, tol: float = DEFAULT_TOL) -> Classification:
         )
     sigma_2, _ = _discord_svd(c[1:])
     product_residual = _product_residual(rho)
-    # the gate's herm is exactly Hermitian, and so is its partial transpose
-    negativity, min_pt_eig = _ppt(np.linalg.eigh(partial_transpose_b(rho))[0])
+    negativity, min_pt_eig = _ppt(rho)
     purity = _purity(rho)
     witnesses = {
         "commutator_norm": comm_norm,

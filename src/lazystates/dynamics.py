@@ -13,12 +13,12 @@ checks in one process build, eigensolve and exponentiate no coupling again;
 a check caches only its first _PROPAGATOR_CACHE_SIZE couplings, as more,
 walked in order, would each be evicted just before their next use.  The
 check range-checks every argument before it certifies the state or caches
-anything; its couplings have unit spectral norm, so 0 < step <= 1e-3 meets
-the step guard step * spectral_norm(h) <= 1e-3, which entropy_rate_at_zero
-applies to the coupling its caller passes.  Rates come from one stacked
-pass over chunks of at most _PROPAGATOR_CACHE_SIZE pairs, stacked per call
-and never cached, so a check holds at most 128 KB of stacked propagators,
-however many couplings it samples; a single rate is a stack of one.
+anything; its couplings have unit spectral norm, so 0 < step <= 1e-3 keeps
+step * spectral_norm(h) <= 1e-3 and the O(step^2) truncation far below the
+rate thresholds.  Rates come from one stacked pass over chunks of at most
+_PROPAGATOR_CACHE_SIZE pairs, stacked per call and never cached, so a check
+holds at most 128 KB of stacked propagators, however many couplings it
+samples.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .classify import DEFAULT_TOL, _commutator_witness
 from .fano import certify
-from .matcore import InvalidArgument, _require_tol, herm_eig, partial_trace_b
+from .matcore import InvalidArgument, _require_tol, partial_trace_b
 
 DEFAULT_STEP = 1e-4
 RATE_TOL_ZERO = 1e-6
@@ -66,7 +66,8 @@ def _coupling(seed: int):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = (g + g.conj().T) / 2.0
-    # no herm_eig: h is finite and its own conjugate transpose entry by entry
+    # h is finite and its own conjugate transpose entry by entry, so eigh,
+    # which reads one triangle, sees all of it
     w, _ = np.linalg.eigh(h)
     return h / max(abs(float(w[0])), abs(float(w[-1])))
 
@@ -86,27 +87,13 @@ def _marginal_entropies(m) -> list:
     return (-(w * log_w).sum(axis=-1)).tolist()
 
 
-def _require_step(step, spectral):
-    """Reject a step unless 0 < step * spectral <= 1e-3, with the one message
-    that the check and entropy_rate_at_zero share."""
-    if not 0.0 < step * spectral <= 1e-3:
-        raise InvalidArgument(
-            "entropy_rate_at_zero: step out of range, require 0 < step * "
-            f"spectral_norm(h) <= 1e-3 (got step={step}, spectral norm={spectral:.3g})"
-        )
-
-
-def _step_propagators(w, v, step):
-    """(u, u†) with u = e^{-ih·step}, for h = v diag(w) v†."""
-    u = (v * np.exp(-1j * w * step)) @ v.conj().T
-    return u, u.conj().T
-
-
 @functools.lru_cache(maxsize=_PROPAGATOR_CACHE_SIZE, typed=True)
 def _propagator(seed: int, step: float):
-    """Read-only _step_propagators of the coupling of seed."""
-    # no herm_eig: the coupling is finite and exactly Hermitian, as _coupling's h
-    u, u_dag = _step_propagators(*np.linalg.eigh(_coupling(seed)), step)
+    """Read-only (u, u†), u = e^{-ih·step}, for the coupling h of seed."""
+    # the coupling is finite and exactly Hermitian, as _coupling's h
+    w, v = np.linalg.eigh(_coupling(seed))
+    u = (v * np.exp(-1j * w * step)) @ v.conj().T
+    u_dag = u.conj().T
     # u_dag is a transposed view; its base is locked too
     for a in (u, u_dag, u_dag.base):
         a.flags.writeable = False
@@ -131,22 +118,6 @@ def _entropy_rates(rho, pairs, step) -> tuple:
         s = _marginal_entropies((stack @ rho @ stack[:, ::-1]).reshape(-1, 4, 4))
         rates += [(plus - minus) / (2.0 * step) for plus, minus in zip(s[::2], s[1::2])]
     return tuple(rates)
-
-
-def entropy_rate_at_zero(rho, h, step: float = DEFAULT_STEP) -> float:
-    """Central-difference d/dt of the marginal entropy at t = 0 under the
-    Hermitian coupling h.
-
-    Requires 0 < step * spectral_norm(h) <= 1e-3 so the O(step^2) truncation
-    stays far below the zero/nonzero decision thresholds; h passes herm_eig's
-    guard, and both checks run before rho is read.  A pure first-qubit
-    marginal makes the derivative ill conditioned; laziness_dynamics_check
-    flags it as caution.
-    """
-    w, v = herm_eig(h)
-    _require_step(step, max(abs(float(w[0])), abs(float(w[-1]))))
-    rho = certify(rho, "entropy_rate_at_zero")
-    return _entropy_rates(rho, [_step_propagators(w, v, step)], step)[0]
 
 
 def _consistency(lazy, max_rate, comm_norm, rate_tol, nonzero_tol):
@@ -181,7 +152,8 @@ def laziness_dynamics_check(
         raise InvalidArgument(f"{who}: n_hamiltonians must be at least 1 (got {n_hamiltonians})")
     if seed < 0:
         raise InvalidArgument(f"{who}: seed must be >= 0 (got {seed!r})")
-    _require_step(step, 1.0)  # every coupling has unit spectral norm
+    if not 0.0 < step <= 1e-3:
+        raise InvalidArgument(f"{who}: step must lie in (0, 1e-3] (got {step!r})")
     _require_tol(rate_tol, who, "rate_tol")
     _require_tol(nonzero_tol, who, "nonzero_tol")
     # the check's one physicality gate; the witness and every rate then see

@@ -113,8 +113,8 @@ def _gate(rho, who: str, tol: float) -> _Gated:
     scale = 1.0 if norm < np.inf else 2.0**-600
     m = rho * scale
     herm = (m + m.conj().T) / 2.0
-    # no herm_eig: herm is its own conjugate transpose entry by entry, and
-    # finite, as ||m||_F, rescaled above if it overflowed, keeps each entry below 1e155
+    # herm is its own conjugate transpose entry by entry, and finite, as
+    # ||m||_F, rescaled above if it overflowed, keeps each entry below 1e155
     min_eig = float(np.linalg.eigh(herm)[0][0]) / scale
     tdev = float(abs(np.trace(rho) - 1.0))
     physical = hermitian and tdev <= tol and min_eig >= -tol

@@ -2,18 +2,17 @@
 
 Everything here works on plain numpy arrays (complex128 for operators,
 float64 for the real 3x3 correlation blocks).  One kernel policy: every
-verdict comes from LAPACK or from a closed form.  Hermitian eigenproblems go
-to LAPACK through numpy's eigh, except qubit marginals, whose spectrum has a
-closed form; the zero-discord rank test takes numpy's LAPACK SVD.  The one
-hand-written solver is svd3, a one-sided Jacobi SVD that serves only the
-local normal form: when singular values repeat, the singular vectors are
-not unique, and normal-form output pins the choice.  svd3 makes that
-choice in CPython float arithmetic with math.sqrt and math.hypot, calling
-neither BLAS nor LAPACK, so it is the same whichever kernel OpenBLAS picks
-at run time.  herm_eig and svd3 raise ValueError on non-finite input;
-herm_eig guards matrices a caller supplies, while the exactly Hermitian
-state-gate part, its partial transpose and the seeded couplings go to
-np.linalg.eigh directly.
+verdict comes from LAPACK or from a closed form.  Every Hermitian
+eigenproblem goes to LAPACK through numpy's eigh, on a matrix that is finite
+and exactly Hermitian by construction (the state gate's Hermitian part, its
+partial transpose, a seeded coupling), except qubit marginals, whose
+spectrum has a closed form; the zero-discord rank test takes numpy's LAPACK
+SVD.  The one hand-written solver is svd3, a one-sided Jacobi SVD that
+serves only the local normal form: when singular values repeat, the
+singular vectors are not unique, and normal-form output pins the choice.
+svd3 makes that choice in CPython float arithmetic with math.sqrt and
+math.hypot, calling neither BLAS nor LAPACK, so it is the same whichever
+kernel OpenBLAS picks at run time; it raises ValueError on non-finite input.
 """
 
 from __future__ import annotations
@@ -68,11 +67,6 @@ def _hermiticity(m, tol):
     return res, norm, norm < np.inf and res <= tol * max(1.0, norm)
 
 
-def is_hermitian(m) -> bool:
-    """True when m is Hermitian within 1e-12 by _hermiticity's rule."""
-    return _hermiticity(m, 1e-12)[2]
-
-
 def _as_4x4(m):
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
@@ -115,25 +109,6 @@ class InvalidArgument(ValueError):
 def _require_tol(value, who, name):
     if not 0.0 < value < math.inf:
         raise InvalidArgument(f"{who}: {name} must be a finite number > 0 (got {value!r})")
-
-
-def herm_eig(m):
-    """Eigendecomposition of a Hermitian matrix by LAPACK (numpy eigh).
-
-    Returns (w, v) with w real ascending and m = v @ diag(w) @ v†.
-
-    Raises ValueError when m has a non-finite entry, when its Frobenius norm
-    overflows, or when it is not Hermitian within 1e-12 * max(1, ||m||_F).
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    _require_finite(m, "herm_eig")
-    if not is_hermitian(m):
-        raise ValueError(
-            "herm_eig: input is not Hermitian within tolerance, or its norm overflows"
-        )
-    return np.linalg.eigh(m)
 
 
 def qubit_spectrum(m):

@@ -8,7 +8,6 @@ from lazystates.matcore import (
     I2,
     PAULIS,
     frob_norm,
-    herm_eig,
     kron,
     partial_trace_b,
     qubit_spectrum,
@@ -24,8 +23,31 @@ def fresh_coupling(seed):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = (g + g.conj().T) / 2.0
-    w, _ = herm_eig(h)
+    w, _ = np.linalg.eigh(h)
     return h / max(abs(w[0]), abs(w[-1]))
+
+
+def entropy2_reference(marginal):
+    """Base-2 von Neumann entropy of a qubit state, eigenvalues <= 1e-12 dropped."""
+    w = qubit_spectrum(marginal)
+    w = w[w > 1e-12]
+    return float(-(w * np.log2(w)).sum())
+
+
+def entropy_rate_reference(rho, h, step):
+    """Central-difference d/dt of the first-qubit entropy at t = 0 under the
+    Hermitian coupling h, one coupling at a time.
+
+    The rate arithmetic of the uncached implementation: a fresh eigensolve
+    and propagator per rate, einsum partial traces, the marginal spectrum by
+    qubit_spectrum.  The dynamics check must give these bits.
+    """
+    w, v = np.linalg.eigh(h)
+    u_plus = (v * np.exp(-1j * w * step)) @ v.conj().T
+    s_plus = entropy2_reference(partial_trace_b(u_plus @ rho @ u_plus.conj().T))
+    u_minus = u_plus.conj().T
+    s_minus = entropy2_reference(partial_trace_b(u_minus @ rho @ u_minus.conj().T))
+    return (s_plus - s_minus) / (2.0 * step)
 
 
 def numpy_on_openblas_x86_64():

@@ -20,14 +20,14 @@ from lazystates.belldiag import (
 )
 from lazystates.classify import classify
 from lazystates.fano import decompose, validate
-from lazystates.matcore import InvalidArgument, herm_eig
+from lazystates.matcore import InvalidArgument
 
 
 def test_bd_compose_examples(bell_phi_plus, maximally_mixed):
     assert np.allclose(bd_compose([0, 0, 0]), maximally_mixed)
     assert np.allclose(bd_compose([1, -1, 1]), bell_phi_plus, atol=1e-14)
     rho = bd_compose([1, 1, -1])
-    w, _ = herm_eig(rho)
+    w, _ = np.linalg.eigh(rho)
     assert np.allclose(w, [0, 0, 0, 1], atol=1e-14)
 
 
@@ -53,7 +53,7 @@ def test_bd_spectrum_matches_eigensolver():
     rng = np.random.default_rng(5)
     for _ in range(2000):
         lam = rng.uniform(-1, 1, 3)
-        w, _ = herm_eig(bd_compose(lam))
+        w, _ = np.linalg.eigh(bd_compose(lam))
         assert np.max(np.abs(np.sort(bd_spectrum(lam)) - w)) <= 1e-12
 
 
@@ -254,6 +254,22 @@ def test_census_rejects_a_worker_count_before_any_block(monkeypatch, workers):
         f"bd_census: workers must lie in [1, {MAX_WORKERS}] (got {workers})"
     )
     assert labeled == []
+
+
+class _FirstBlockDrawn(Exception):
+    pass
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_census_starts_work_at_once(monkeypatch, workers):
+    # 10**30 samples are about 1.5e25 blocks: a census that listed its blocks
+    # before drawing the first would run out of memory long before this raises
+    def first_block(*args):
+        raise _FirstBlockDrawn
+
+    monkeypatch.setattr(belldiag, "_block_points", first_block)
+    with pytest.raises(_FirstBlockDrawn):
+        bd_census(10**30, 1, workers=workers)
 
 
 def test_census_csv_schema():

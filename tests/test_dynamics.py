@@ -17,7 +17,6 @@ from lazystates.dynamics import (
     _coupling,
     _marginal_entropies,
     _propagator,
-    entropy_rate_at_zero,
     laziness_dynamics_check,
 )
 from lazystates.families import (
@@ -29,12 +28,15 @@ from lazystates.fano import certify
 from lazystates.matcore import (
     InvalidArgument,
     frob_norm,
-    herm_eig,
     hermiticity_residual,
     partial_trace_b,
-    qubit_spectrum,
 )
-from oracles import fresh_coupling, numpy_on_openblas_x86_64
+from oracles import (
+    entropy2_reference,
+    entropy_rate_reference,
+    fresh_coupling,
+    numpy_on_openblas_x86_64,
+)
 from sampling import (
     ginibre_state,
     random_bell_diagonal_point,
@@ -54,12 +56,12 @@ def test_random_hamiltonian_reproducible_and_hermitian():
     h2 = _coupling(42)
     assert np.array_equal(h1, h2)
     assert hermiticity_residual(h1) <= 1e-15
-    w, _ = herm_eig(h1)
+    w, _ = np.linalg.eigh(h1)
     assert abs(max(abs(w[0]), abs(w[-1])) - 1.0) <= 1e-12
     # the check's rate k is the rate under the coupling of seed + k
     rho = ginibre_state(np.random.default_rng(42))
     report = laziness_dynamics_check(rho, 2, seed=41)
-    assert report.rates[1] == entropy_rate_at_zero(rho, h1)
+    assert report.rates[1] == entropy_rate_reference(rho, h1, DEFAULT_STEP)
 
 
 def test_random_hamiltonian_seeds_differ():
@@ -83,35 +85,29 @@ def test_entropy_a_examples(bell_phi_plus):
 
 
 def test_entropy_rate_zero_for_lazy_states(bell_phi_plus):
-    for k in range(10):
-        h = _coupling(100 + k)
-        assert abs(entropy_rate_at_zero(bell_phi_plus, h)) <= 1e-6
+    # rate k of a check is the rate under the coupling of seed + k
+    for rate in laziness_dynamics_check(bell_phi_plus, 10, seed=100).rates:
+        assert abs(rate) <= 1e-6
     rho = random_product_state(np.random.default_rng(5), max_bloch=0.8)
-    for k in range(10):
-        h = _coupling(200 + k)
-        assert abs(entropy_rate_at_zero(rho, h)) <= 1e-6
+    for rate in laziness_dynamics_check(rho, 10, seed=200).rates:
+        assert abs(rate) <= 1e-6
 
 
 def test_entropy_rate_nonzero_for_witness():
-    rates = [
-        abs(entropy_rate_at_zero(NOT_LAZY_WITNESS, _coupling(300 + k)))
-        for k in range(20)
-    ]
-    assert max(rates) > 1e-3
+    assert laziness_dynamics_check(NOT_LAZY_WITNESS, 20, seed=300).max_abs_rate > 1e-3
 
 
 def test_entropy_rate_step_contract():
-    h = _coupling(1)
     rho = bd_compose([0.2, 0.1, -0.3])
     with pytest.raises(ValueError):
-        entropy_rate_at_zero(rho, h, step=0.0)
+        laziness_dynamics_check(rho, 1, seed=1, step=0.0)
     with pytest.raises(ValueError):
-        entropy_rate_at_zero(rho, h, step=0.01)
-    rate = entropy_rate_at_zero(rho, h, step=1e-4)
-    assert type(rate) is float
-    # the check's one rate at seed 1 and step 1e-4 is that rate
+        laziness_dynamics_check(rho, 1, seed=1, step=0.01)
     report = laziness_dynamics_check(rho, 1, seed=1, step=1e-4)
-    assert report.rates == (rate,)
+    (rate,) = report.rates
+    assert type(rate) is float
+    # the check's one rate at seed 1 and step 1e-4 is the oracle's
+    assert rate == entropy_rate_reference(rho, _coupling(1), 1e-4)
     assert not report.caution
 
 
@@ -127,10 +123,9 @@ def test_entropy_rate_step_halving_second_order():
     for k in range(20):
         # mix toward the identity to keep the marginal comfortably nonsingular
         rho = 0.5 * ginibre_state(rng) + 0.5 * np.eye(4) / 4
-        h = _coupling(400 + k)
-        r1 = entropy_rate_at_zero(rho, h, step=1e-4)
-        r2 = entropy_rate_at_zero(rho, h, step=5e-5)
-        w, _ = herm_eig(rho)
+        (r1,) = laziness_dynamics_check(rho, 1, seed=400 + k, step=1e-4).rates
+        (r2,) = laziness_dynamics_check(rho, 1, seed=400 + k, step=5e-5).rates
+        w, _ = np.linalg.eigh(rho)
         w_min = max(float(w[0]), 1e-3)
         scale = max(1.0, 1.0 / w_min**2)
         assert abs(r1 - r2) <= 10.0 * (1e-4) ** 2 * scale
@@ -178,7 +173,6 @@ def test_commutator_norm_predicts_rate_sign():
     rng = np.random.default_rng(37)
     from lazystates.classify import lazy_by_commutator
 
-    couplings = [_coupling(500 + k) for k in range(20)]
     gray_lo, gray_hi = 1e-9, 1e-4
     states = [ginibre_state(rng) for _ in range(350)]
     states += [random_product_state(rng) for _ in range(100)]
@@ -186,7 +180,8 @@ def test_commutator_norm_predicts_rate_sign():
     gray_logged = 0
     for rho in states:
         comm = lazy_by_commutator(rho)
-        max_rate = max(abs(entropy_rate_at_zero(rho, h)) for h in couplings)
+        # the couplings of seeds 500-519
+        max_rate = laziness_dynamics_check(rho, 20, seed=500).max_abs_rate
         if gray_lo <= comm <= gray_hi:
             gray_logged += 1
             continue
@@ -206,42 +201,15 @@ DYNAMICS_KINDS = {
 }
 
 
-def _uncached_rates(rho, n_hamiltonians, seed, step):
-    # the public path: a fresh coupling per call, eigensolved per rate
-    for k in range(n_hamiltonians):
-        assert np.array_equal(_coupling(seed + k), fresh_coupling(seed + k))
-    return tuple(
-        entropy_rate_at_zero(rho, fresh_coupling(seed + k), step)
-        for k in range(n_hamiltonians)
-    )
-
-
-def _entropy2_reference(marginal):
-    w = qubit_spectrum(marginal)
-    w = w[w > 1e-12]
-    return float(-(w * np.log2(w)).sum())
-
-
-def _entropy_rate_reference(rho, h, step):
-    # the rate arithmetic of the uncached implementation, kept here as an
-    # oracle: fresh eigensolve and propagator per rate, einsum partial
-    # traces, the marginal spectrum by qubit_spectrum
-    w, v = herm_eig(h)
-    u_plus = (v * np.exp(-1j * w * step)) @ v.conj().T
-    s_plus = _entropy2_reference(partial_trace_b(u_plus @ rho @ u_plus.conj().T))
-    u_minus = u_plus.conj().T
-    s_minus = _entropy2_reference(partial_trace_b(u_minus @ rho @ u_minus.conj().T))
-    return (s_plus - s_minus) / (2.0 * step)
-
-
 def _caution_reference(rho):
     marginal = partial_trace_b(rho)
     return float(np.einsum("ij,ji->", marginal, marginal).real) >= 1.0 - 1e-12
 
 
 def _reference_rates(rho, n_hamiltonians, seed, step):
+    # a fresh coupling per rate, eigensolved per rate
     return tuple(
-        _entropy_rate_reference(rho, fresh_coupling(seed + k), step)
+        entropy_rate_reference(rho, fresh_coupling(seed + k), step)
         for k in range(n_hamiltonians)
     )
 
@@ -258,7 +226,9 @@ def test_cached_couplings_give_the_uncached_rates(seed, n_hamiltonians, step):
     # one propagator pair built per (seed, step), shared by every state
     assert _propagator.cache_info().misses == n_hamiltonians
     warm = [laziness_dynamics_check(rho, n_hamiltonians, seed, step) for rho in states]
-    oracle = [_uncached_rates(rho, n_hamiltonians, seed, step) for rho in states]
+    for k in range(n_hamiltonians):
+        assert np.array_equal(_coupling(seed + k), fresh_coupling(seed + k))
+    oracle = [_reference_rates(rho, n_hamiltonians, seed, step) for rho in states]
     # repr tells every float bit pattern apart, -0.0 from 0.0 included
     assert repr([r.rates for r in cold]) == repr(oracle)
     assert repr(warm) == repr(cold)
@@ -267,11 +237,14 @@ def test_cached_couplings_give_the_uncached_rates(seed, n_hamiltonians, step):
 def test_warm_check_eigensolves_no_coupling(monkeypatch):
     rho = ginibre_state(np.random.default_rng(5))
     laziness_dynamics_check(rho, 6, seed=70)
+    herm = certify(rho, "test")
     calls = []
-    monkeypatch.setattr(dynamics, "herm_eig", lambda m: calls.append(m) or herm_eig(m))
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
     monkeypatch.setattr(dynamics, "_coupling", lambda seed: calls.append(seed))
     laziness_dynamics_check(rho, 6, seed=70)
-    assert calls == []
+    # the gate's one eigensolve of the state, and none of a coupling
+    assert len(calls) == 1 and np.array_equal(calls[0], herm)
 
 
 def test_mutating_a_returned_coupling_leaves_the_check_alone():
@@ -283,7 +256,7 @@ def test_mutating_a_returned_coupling_leaves_the_check_alone():
     coupling[:] = 0.0
     after = laziness_dynamics_check(rho, 4, seed=40)
     assert repr(after) == repr(before)
-    assert repr(after.rates) == repr(_uncached_rates(rho, 4, 40, DEFAULT_STEP))
+    assert repr(after.rates) == repr(_reference_rates(rho, 4, 40, DEFAULT_STEP))
     assert not np.array_equal(_coupling(41), coupling)
 
 
@@ -300,12 +273,15 @@ def test_cache_accepts_the_seeds_numpy_accepts():
 @pytest.mark.parametrize("step", [0.0, -1e-4, 0.01])
 def test_bad_step_raises_the_same_error_on_a_warm_cache(step):
     rho = bd_compose([0.2, 0.1, -0.3])
-    laziness_dynamics_check(rho, 3, seed=5)
-    with pytest.raises(ValueError) as cached:
+    _propagator.cache_clear()
+    with pytest.raises(InvalidArgument) as cold:
         laziness_dynamics_check(rho, 3, seed=5, step=step)
-    with pytest.raises(ValueError) as direct:
-        entropy_rate_at_zero(rho, fresh_coupling(5), step=step)
-    assert str(cached.value) == str(direct.value)
+    laziness_dynamics_check(rho, 3, seed=5)
+    with pytest.raises(InvalidArgument) as cached:
+        laziness_dynamics_check(rho, 3, seed=5, step=step)
+    assert str(cached.value) == str(cold.value) == (
+        f"laziness_dynamics_check: step must lie in (0, 1e-3] (got {step!r})"
+    )
 
 
 @pytest.mark.parametrize("seed,n_hamiltonians,step", CHECK_CASES)
@@ -318,9 +294,10 @@ def test_check_matches_the_reference_arithmetic(seed, n_hamiltonians, step):
         reports = [laziness_dynamics_check(rho, n_hamiltonians, seed, step) for rho in states]
         assert repr([r.rates for r in reports]) == repr(oracle)
         assert [r.caution for r in reports] == [_caution_reference(rho) for rho in states]
+    # rate k of a check is the one rate of the check at seed + k
     direct = [
         tuple(
-            entropy_rate_at_zero(rho, _coupling(seed + k), step)
+            laziness_dynamics_check(rho, 1, seed + k, step).rates[0]
             for k in range(n_hamiltonians)
         )
         for rho in states
@@ -332,13 +309,13 @@ def test_entropy_a_matches_the_reference_arithmetic(bell_phi_plus):
     rng = np.random.default_rng(17)
     states = [bell_phi_plus] + [make(rng) for make in DYNAMICS_KINDS.values() for _ in range(4)]
     # evolved for t = 0.7 under the coupling of seed 3
-    w, v = herm_eig(fresh_coupling(3))
+    w, v = np.linalg.eigh(fresh_coupling(3))
     u = (v * np.exp(-1j * w * 0.7)) @ v.conj().T
     states += [u @ rho @ u.conj().T for rho in states]
     for rho in states:
         herm = certify(rho, "test")
         assert repr(_marginal_entropies(herm[None])[0]) == repr(
-            _entropy2_reference(partial_trace_b(herm))
+            entropy2_reference(partial_trace_b(herm))
         )
 
 
@@ -437,7 +414,7 @@ def test_propagators_are_keyed_by_seed_and_step():
 def test_cached_propagators_are_read_only():
     u, u_dag = _propagator(62, DEFAULT_STEP)
     assert np.array_equal(u_dag, u.conj().T)
-    w, v = herm_eig(fresh_coupling(62))
+    w, v = np.linalg.eigh(fresh_coupling(62))
     assert np.array_equal(u, (v * np.exp(-1j * w * DEFAULT_STEP)) @ v.conj().T)
     for a in (u, u_dag, u_dag.base):
         assert not a.flags.writeable
@@ -448,10 +425,9 @@ def test_cached_propagators_are_read_only():
 
 @pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf])
 def test_non_finite_step_is_rejected(bell_phi_plus, step):
-    with pytest.raises(ValueError, match="require 0 < step"):
-        entropy_rate_at_zero(bell_phi_plus, _coupling(0), step=step)
-    with pytest.raises(ValueError, match="require 0 < step"):
+    with pytest.raises(InvalidArgument) as exc:
         laziness_dynamics_check(bell_phi_plus, 3, step=step)
+    assert str(exc.value) == f"laziness_dynamics_check: step must lie in (0, 1e-3] (got {step!r})"
 
 
 def test_rejected_step_leaves_nothing_cached(bell_phi_plus):
@@ -485,22 +461,24 @@ def test_check_rejects_a_negative_seed_before_judging_the_state(monkeypatch):
 
 
 def test_bad_step_on_an_unphysical_state_is_an_invalid_argument(bell_phi_plus):
-    # the step is checked before the state: the error names the step guard,
-    # not an unphysical state
+    # the step is checked before the state: the error names the step, not
+    # an unphysical state
     with pytest.raises(InvalidArgument) as exc:
         laziness_dynamics_check(2.0 * bell_phi_plus, 3, step=0.01)
-    assert str(exc.value).startswith("entropy_rate_at_zero: step out of range, require 0 < step")
+    assert str(exc.value) == "laziness_dynamics_check: step must lie in (0, 1e-3] (got 0.01)"
 
 
-def test_only_a_callers_coupling_passes_herm_eig(monkeypatch, bell_phi_plus):
+def test_check_eigensolves_only_exactly_hermitian_matrices(monkeypatch, bell_phi_plus):
+    # a cold check eigensolves the gate's Hermitian part once and each
+    # coupling twice (for its norm, then for its propagator), all of them
+    # exactly Hermitian by construction, so no Hermiticity guard is needed
     calls = []
-    monkeypatch.setattr(dynamics, "herm_eig", lambda m: calls.append(m) or herm_eig(m))
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
     _propagator.cache_clear()
     laziness_dynamics_check(bell_phi_plus, 3, seed=7)
-    assert calls == []
-    h = fresh_coupling(7)
-    entropy_rate_at_zero(bell_phi_plus, h)
-    assert len(calls) == 1 and calls[0] is h
+    assert len(calls) == 1 + 2 * 3
+    assert all(np.array_equal(m, m.conj().T) for m in calls)
 
 
 def test_check_works_on_the_certified_hermitian_part():

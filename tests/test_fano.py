@@ -8,18 +8,23 @@ import numpy as np
 import pytest
 
 from lazystates.belldiag import bd_region
-from lazystates.classify import classify, lazy_by_commutator
-from lazystates.dynamics import entropy_rate_at_zero, laziness_dynamics_check
+from lazystates.classify import (
+    classify,
+    is_product,
+    lazy_by_commutator,
+    pure_schmidt,
+    separable_ppt,
+)
+from lazystates.dynamics import laziness_dynamics_check
 from lazystates.fano import FanoParams, certify, compose, decompose, normal_form, validate
 from lazystates.matcore import (
     I2,
     PAULIS,
     det3,
     frob_norm,
-    herm_eig,
     kron,
 )
-from oracles import fresh_coupling, numpy_on_openblas_x86_64
+from oracles import numpy_on_openblas_x86_64
 from sampling import ginibre_state, random_product_state
 
 
@@ -131,7 +136,9 @@ GATED_ENTRIES = {
     "certify": lambda rho: certify(rho, "certify"),
     "classify": classify,
     "lazy_by_commutator": lazy_by_commutator,
-    "entropy_rate_at_zero": lambda rho: entropy_rate_at_zero(rho, fresh_coupling(0)),
+    "is_product": is_product,
+    "separable_ppt": separable_ppt,
+    "pure_schmidt": pure_schmidt,
     "laziness_dynamics_check": lambda rho: laziness_dynamics_check(rho, 2),
 }
 
@@ -273,8 +280,8 @@ def test_normal_form_preserves_spectrum():
         p = decompose(rho)
         nf = normal_form(p)
         rotated = compose(FanoParams(nf.x_rot, nf.y_rot, np.diag(nf.d)))
-        w_ref, _ = herm_eig(rho)
-        w_rot, _ = herm_eig(rotated)
+        w_ref, _ = np.linalg.eigh(rho)
+        w_rot, _ = np.linalg.eigh(rotated)
         assert np.max(np.abs(w_ref - w_rot)) <= 1e-10
 
 

@@ -56,7 +56,7 @@ def test_package_exports_exactly_its_public_names():
         FanoParams LazyDiscordantParams NormalForm PhysicalityReport REGION_LABELS
         SeparableFamilyParams SliceGrid StateFileError __version__ bd_census bd_compose
         bd_region bd_slice bd_spectrum census_to_csv classify compose decompose
-        entropy_rate_at_zero is_product laziness_dynamics_check lazy_by_commutator
+        is_product laziness_dynamics_check lazy_by_commutator
         lazy_by_parallelism lazy_discordant_compose lazy_discordant_spectrum
         load_state_file normal_form pure_schmidt save_state_file separable_classify
         separable_compose separable_fano separable_ppt slice_to_csv validate

@@ -8,11 +8,10 @@ from lazystates.matcore import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _hermiticity,
     commutator,
     det3,
     frob_norm,
-    herm_eig,
-    is_hermitian,
     kron,
     partial_trace_a,
     partial_trace_b,
@@ -62,7 +61,7 @@ def test_partial_transpose_basics(bell_phi_plus):
         partial_transpose_b(kron(rho_a, rho_b)), kron(rho_a, rho_b.T), atol=1e-13
     )
     # Bell state: swapped matrix has minimum eigenvalue -1/2
-    w, _ = herm_eig(partial_transpose_b(bell_phi_plus))
+    w, _ = np.linalg.eigh(partial_transpose_b(bell_phi_plus))
     assert abs(w[0] + 0.5) <= 1e-12
     assert np.allclose(w, np.linalg.eigvalsh(partial_transpose_b(bell_phi_plus)))
 
@@ -83,52 +82,8 @@ def test_swap_subsystems():
     assert np.allclose(swap_subsystems(kron(rho_a, rho_b)), kron(rho_b, rho_a))
 
 
-def test_herm_eig_examples(bell_phi_plus):
-    w, _ = herm_eig(np.eye(4, dtype=complex))
-    assert np.allclose(w, [1, 1, 1, 1])
-    w, _ = herm_eig(np.diag([4.0, 1.0, 3.0, 2.0]).astype(complex))
-    assert np.allclose(w, [1, 2, 3, 4])
-    w, _ = herm_eig(bell_phi_plus)
-    assert np.allclose(w, [0, 0, 0, 1], atol=1e-14)
-
-
-def test_herm_eig_round_trip_1000_random():
-    rng = np.random.default_rng(17)
-    for _ in range(1000):
-        m = random_hermitian(rng)
-        w, v = herm_eig(m)
-        assert np.all(np.diff(w) >= 0)
-        recon = (v * w) @ v.conj().T
-        assert frob_norm(recon - m) <= 1e-10 * max(1.0, frob_norm(m))
-
-
-def test_herm_eig_matches_reference_solver():
-    rng = np.random.default_rng(23)
-    for _ in range(200):
-        m = random_hermitian(rng)
-        w, v = herm_eig(m)
-        assert np.allclose(w, np.linalg.eigvalsh(m), atol=1e-12)
-        assert frob_norm(v.conj().T @ v - np.eye(4)) <= 1e-12
-
-
-def test_herm_eig_two_by_two():
-    m = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
-    w, v = herm_eig(m)
-    assert np.allclose(w, np.linalg.eigvalsh(m), atol=1e-14)
-    assert frob_norm((v * w) @ v.conj().T - m) <= 1e-14
-
-
-def test_herm_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_kernels_reject_non_finite(bad):
-    m = np.eye(4, dtype=complex)
-    m[1, 1] = bad
-    with pytest.raises(ValueError, match="non-finite"):
-        herm_eig(m)
     t = np.eye(3)
     t[0, 2] = bad
     with pytest.raises(ValueError, match="non-finite"):
@@ -136,15 +91,13 @@ def test_kernels_reject_non_finite(bad):
 
 
 @pytest.mark.parametrize("lower", [1e200, -1e200])
-def test_herm_eig_rejects_an_overflowing_norm(lower):
+def test_hermiticity_rule_rejects_an_overflowing_norm(lower):
     # Hermitian or not, a norm that overflows to inf would admit any residual
     m = np.eye(4, dtype=complex) / 4.0
     m[0, 1], m[1, 0] = 1e200, lower
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert not is_hermitian(m)
-        with pytest.raises(ValueError, match="overflows"):
-            herm_eig(m)
+        assert not _hermiticity(m, 1e-12)[2]
 
 
 def test_qubit_spectrum_matches_reference_1000_random():
@@ -157,15 +110,6 @@ def test_qubit_spectrum_matches_reference_1000_random():
         m /= np.trace(m).real
         assert np.max(np.abs(qubit_spectrum(m) - np.linalg.eigvalsh(m))) <= 1e-14
     assert np.array_equal(qubit_spectrum(I2 / 2), [0.5, 0.5])
-
-
-def test_herm_eig_deterministic():
-    rng = np.random.default_rng(29)
-    m = random_hermitian(rng)
-    w1, v1 = herm_eig(m)
-    w2, v2 = herm_eig(m.copy())
-    assert np.array_equal(w1, w2)
-    assert np.array_equal(v1, v2)
 
 
 def test_svd3_examples():

@@ -88,6 +88,10 @@ flag_text = st.one_of(
     st.text(alphabet=st.characters(exclude_categories=("Nd", "Cs")), max_size=6),
 )
 small_count = st.one_of(st.integers(-2, 3).map(str), st.sampled_from(["", "x", "1.5"]))
+# flag text that is often a valid census or slice size, or a valid family
+# parameter or slice value
+small_size = st.one_of(st.integers(1, 3).map(str), small_count)
+unit_text = st.one_of(st.floats(0.0, 1.0).map(repr), flag_text)
 
 
 def _optional(flag, values):
@@ -95,10 +99,11 @@ def _optional(flag, values):
 
 
 @st.composite
-def cli_argv(draw, state_path):
-    command = draw(st.sampled_from(
-        ["classify", "normal-form", "dynamics-check", "bd", "family-ld", "family-sep"]
-    ))
+def cli_argv(draw, state_path, out_paths):
+    command = draw(st.sampled_from([
+        "classify", "normal-form", "dynamics-check", "bd", "bd-census", "bd-slice",
+        "family-ld", "family-sep",
+    ]))
     if command == "classify":
         return ["classify", state_path] + draw(_optional("--tol", flag_text))
     if command == "normal-form":
@@ -113,22 +118,32 @@ def cli_argv(draw, state_path):
             st.lists(flag_text, min_size=3, max_size=3).map(",".join), flag_text
         ))
         return ["bd", "classify", "--lambda", lam] + draw(_optional("--tol", flag_text))
+    # census and slice sizes are small counts, so no example runs long
+    if command == "bd-census":
+        argv = ["bd", "census", "--samples", draw(small_size), "--seed", draw(small_size)]
+        return argv + draw(_optional("--workers", small_size))
+    if command == "bd-slice":
+        return ["bd", "slice", "--axis", draw(small_size), "--value", draw(unit_text),
+                "--grid", draw(small_size)]
+    out = draw(_optional("--out", st.sampled_from(out_paths)))
     if command == "family-ld":
-        return ["family", "lazy-discordant", "--y1", draw(flag_text),
-                "--l2", draw(flag_text), "--l3", draw(flag_text)]
+        return ["family", "lazy-discordant", "--y1", draw(unit_text),
+                "--l2", draw(unit_text), "--l3", draw(unit_text)] + out
     argv = ["family", "separable"]
     for flag in ("--p", "--alpha", "--beta", "--a", "--b"):
-        argv += [flag, draw(flag_text)]
-    return argv
+        argv += [flag, draw(unit_text)]
+    return argv + out
 
 
 def _run_main(argv):
+    """(exit code, stderr text) of one in-process command."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return cli.main(argv)
+            code = cli.main(argv)
         except SystemExit as exc:  # argparse usage errors
-            return exc.code
+            code = exc.code
+    return code, err.getvalue()
 
 
 # a numpy warning on stderr would break the one-line message promise
@@ -136,13 +151,20 @@ def _run_main(argv):
 @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture],
           **PROPERTY_SETTINGS)
 @given(doc=state_doc, data=st.data())
-def test_cli_exits_with_a_documented_code(monkeypatch, doc, data):
+def test_cli_exits_with_a_documented_code(monkeypatch, tmp_path, doc, data):
     # the document is parsed from its JSON text as load_state_file would,
     # without a file per example; test_cli covers reading real files
     text = json.dumps(doc)
     monkeypatch.setattr(cli, "load_state_file", lambda path: state_from_dict(json.loads(text)))
-    argv = data.draw(cli_argv("state.json"))
-    assert _run_main(argv) in (0, 1, 2, 3)
+    # --out: a writable file, a file in a missing directory, a directory
+    out_paths = [str(tmp_path / "out.json"), str(tmp_path / "missing" / "x.json"), str(tmp_path)]
+    code, err = _run_main(data.draw(cli_argv("state.json", out_paths)))
+    assert code in (0, 1, 2, 3)
+    # success is silent on stderr, and every failure says why in one line
+    if code == 0:
+        assert err == ""
+    else:
+        assert len(err.splitlines()) == 1
 
 
 def _qubit_unitary(theta, phi, lam):
