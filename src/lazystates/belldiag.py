@@ -11,6 +11,7 @@ fractions and emits plotting-ready CSV slices.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,11 +167,15 @@ def bd_census(samples: int, seed: int, workers: int = 1) -> CensusReport:
             f"bd_census: workers must lie in [1, {MAX_WORKERS}] (got {workers!r})"
         )
     nblocks = (samples + _CENSUS_BLOCK - 1) // _CENSUS_BLOCK
+    # set when the calling thread stops waiting, e.g. on Ctrl-C
+    stop = threading.Event()
 
     def _work(first):
         # blocks first, first + workers, ... straight from a range: no block list
         counts, hits = np.zeros(5, dtype=np.int64), 0
         for bi in range(first, nblocks, workers):
+            if stop.is_set():
+                break
             count = min(_CENSUS_BLOCK, samples - bi * _CENSUS_BLOCK)
             codes, boundary = _label_points(_block_points(seed, bi, count), BOUNDARY_TOL)
             counts += np.bincount(codes, minlength=5)
@@ -184,7 +189,12 @@ def bd_census(samples: int, seed: int, workers: int = 1) -> CensusReport:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_work, range(workers)))
+            try:
+                results = list(pool.map(_work, range(workers)))
+            except BaseException:
+                # the pool's exit waits for its workers: each stops within a block
+                stop.set()
+                raise
     counts = sum(block_counts for block_counts, _ in results)
     boundary_hits = sum(hits for _, hits in results)
 

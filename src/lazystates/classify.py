@@ -66,8 +66,7 @@ class Classification:
     lazy_gray_zone: bool = False
 
 
-def _commutator_witness(rho) -> float:
-    rho_a = partial_trace_b(rho)
+def _commutator_witness(rho, rho_a) -> float:
     return frob_norm(commutator(rho, kron(rho_a, I2)))
 
 
@@ -76,7 +75,8 @@ def lazy_by_commutator(rho) -> float:
 
     Raises ValueError on input the state gate rejects at its fixed 1e-9.
     """
-    return _commutator_witness(certify(rho, "lazy_by_commutator"))
+    rho = certify(rho, "lazy_by_commutator")
+    return _commutator_witness(rho, partial_trace_b(rho))
 
 
 def _parallel_residual(x, t) -> float:
@@ -120,8 +120,8 @@ def zero_discord_a(p: FanoParams):
     return _discord_svd(np.column_stack((p.x, p.t)))
 
 
-def _product_residual(rho) -> float:
-    return frob_norm(rho - kron(partial_trace_b(rho), partial_trace_a(rho)))
+def _product_residual(rho, rho_a) -> float:
+    return frob_norm(rho - kron(rho_a, partial_trace_a(rho)))
 
 
 def is_product(rho) -> float:
@@ -129,7 +129,8 @@ def is_product(rho) -> float:
 
     Raises ValueError on input the state gate rejects at its fixed 1e-9.
     """
-    return _product_residual(certify(rho, "is_product"))
+    rho = certify(rho, "is_product")
+    return _product_residual(rho, partial_trace_b(rho))
 
 
 def _ppt(herm):
@@ -189,7 +190,8 @@ def classify(rho, tol: float = DEFAULT_TOL) -> Classification:
 
     rho = g.herm
     c = _coeffs(rho)
-    comm_norm = _commutator_witness(rho)
+    rho_a = partial_trace_b(rho)
+    comm_norm = _commutator_witness(rho, rho_a)
     residual = _parallel_residual(c[1:, 0], c[1:, 1:])
     if abs(comm_norm - residual) > _ROUTE_AGREEMENT * max(1.0, comm_norm):
         raise ConsistencyError(
@@ -197,7 +199,7 @@ def classify(rho, tol: float = DEFAULT_TOL) -> Classification:
             f"{comm_norm:.3e}, parallelism residual {residual:.3e}"
         )
     sigma_2, _ = _discord_svd(c[1:])
-    product_residual = _product_residual(rho)
+    product_residual = _product_residual(rho, rho_a)
     negativity, min_pt_eig = _ppt(rho)
     purity = _purity(rho)
     witnesses = {

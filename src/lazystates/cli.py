@@ -10,8 +10,8 @@ library call the flag feeds rejects one out of range with InvalidArgument.
 Exit codes: 0 success, 1 invalid state or family parameters, 2 parse/usage
 error, an argument out of range, an unreadable or unwritable state file or
 a request too large for memory, 3 classifier/dynamics inconsistency or a
-numerical solver failure, 141 (128 + SIGPIPE) stdout closed by its reader
-before the output was written.
+numerical solver failure, 130 (128 + SIGINT) interrupted by Ctrl-C, 141
+(128 + SIGPIPE) stdout closed by its reader before the output was written.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ EXIT_OK = 0
 EXIT_INVALID_STATE = 1
 EXIT_USAGE = 2
 EXIT_INCONSISTENT = 3
+EXIT_INTERRUPTED = 130
 EXIT_BROKEN_PIPE = 141
 
 
@@ -250,6 +251,9 @@ def main(argv=None) -> int:
         os.close(devnull)
         print("error: stdout was closed before the output was written", file=sys.stderr)
         return EXIT_BROKEN_PIPE
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except (StateFileError, InvalidArgument) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,30 +7,29 @@ of the base-2 marginal entropy along e^{-iht} rho e^{iht}, for the seeded
 couplings h of unit spectral norm; these are generic, so a non-lazy state
 shows a nonzero rate under them.
 
-One bounded cache, of _PROPAGATOR_CACHE_SIZE entries, holds per (seed,
-step) the read-only step propagator u = e^{-ih·step} and u†, so repeated
-checks in one process build, eigensolve and exponentiate no coupling again;
-a check caches only its first _PROPAGATOR_CACHE_SIZE couplings, as more,
-walked in order, would each be evicted just before their next use.  The
-check range-checks every argument before it certifies the state or caches
-anything; its couplings have unit spectral norm, so 0 < step <= 1e-3 keeps
-step * spectral_norm(h) <= 1e-3 and the O(step^2) truncation far below the
-rate thresholds.  Rates come from one stacked pass over chunks of at most
-_PROPAGATOR_CACHE_SIZE pairs, stacked per call and never cached, so a check
-holds at most 128 KB of stacked propagators, however many couplings it
-samples.
+Rates come from one stacked pass per chunk of at most _CHUNK couplings: a
+read-only (k, 2, 4, 4) stack of the step propagators u = e^{-ih·step} and
+u† of the couplings of seeds seed ... seed + k - 1, 128 KB at most.  The
+module's one cache, _propagator_stack, keyed by (seed, k, step), holds at
+most two such stacks, 256 KB, so a repeated check in one process builds,
+eigensolves, exponentiates and stacks no coupling again.  A check caches
+only its first stack: its later ones would cycle through the two slots and
+each be evicted before its next use.  A check with another n builds and
+caches its own stack.  The check range-checks every argument before it
+certifies the state or caches anything; its couplings have unit spectral
+norm, so 0 < step <= 1e-3 keeps step * spectral_norm(h) <= 1e-3 and the
+O(step^2) truncation far below the rate thresholds.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import DEFAULT_TOL, _commutator_witness
+from .classify import DEFAULT_TOL, _commutator_witness, _purity
 from .fano import certify
 from .matcore import InvalidArgument, _require_tol, partial_trace_b
 
@@ -45,8 +44,8 @@ COMM_GRAY_ZONE = (1e-9, 1e-4)
 # marginal eigenvalues below this contribute nothing to the entropy
 _ENTROPY_CLAMP = 1e-12
 
-# (seed, step) propagators kept per process (about 1 KB each)
-_PROPAGATOR_CACHE_SIZE = 256
+# couplings per stacked pass: a stack of _CHUNK (u, u†) pairs is 128 KB
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -81,40 +80,39 @@ def _marginal_entropies(m) -> list:
     """
     z = (m[:, 0, 0] + m[:, 1, 1] - (m[:, 2, 2] + m[:, 3, 3])).real.tolist()
     c = (m[:, 0, 2] + m[:, 1, 3]).tolist()
-    r = [math.hypot(zk, 2.0 * abs(ck)) for zk, ck in zip(z, c)]
-    w = np.array([((1.0 - rk) / 2.0, (1.0 + rk) / 2.0) for rk in r])
+    r = np.array([math.hypot(zk, 2.0 * abs(ck)) for zk, ck in zip(z, c)])
+    # 1 - r and 1 + r as 1 + (∓r): a sign flip is exact
+    w = (1.0 + np.multiply.outer(r, (-1.0, 1.0))) / 2.0
     log_w = np.log2(w, out=np.zeros_like(w), where=w > _ENTROPY_CLAMP)
     return (-(w * log_w).sum(axis=-1)).tolist()
 
 
-@functools.lru_cache(maxsize=_PROPAGATOR_CACHE_SIZE, typed=True)
 def _propagator(seed: int, step: float):
-    """Read-only (u, u†), u = e^{-ih·step}, for the coupling h of seed."""
+    """(u, u†), u = e^{-ih·step}, for the coupling h of seed."""
     # the coupling is finite and exactly Hermitian, as _coupling's h
     w, v = np.linalg.eigh(_coupling(seed))
     u = (v * np.exp(-1j * w * step)) @ v.conj().T
-    u_dag = u.conj().T
-    # u_dag is a transposed view; its base is locked too
-    for a in (u, u_dag, u_dag.base):
-        a.flags.writeable = False
-    return u, u_dag
+    return u, u.conj().T
 
 
-def _pure_marginal(rho) -> bool:
-    """True when the first-qubit marginal is pure to 1e-12, where the
-    entropy derivative is ill conditioned."""
-    marginal = partial_trace_b(rho)
-    purity = float(np.einsum("ij,ji->", marginal, marginal).real)
-    return purity >= 1.0 - 1e-12
+# two stacks of at most _CHUNK pairs: the cache never holds more than 256 KB
+@functools.lru_cache(maxsize=2, typed=True)
+def _propagator_stack(seed: int, k: int, step: float):
+    """Read-only (k, 2, 4, 4) stack of the pairs (u, u†) of seeds seed ... seed + k - 1."""
+    stack = np.array([_propagator(seed + j, step) for j in range(k)])
+    stack.flags.writeable = False
+    return stack
 
 
-def _entropy_rates(rho, pairs, step) -> tuple:
-    """Central differences of the marginal entropy of a certified rho along
-    each step-propagator pair (u, u†), _PROPAGATOR_CACHE_SIZE pairs a stack."""
-    pairs = iter(pairs)
+def _entropy_rates(rho, n, seed, step) -> tuple:
+    """Central differences of the marginal entropy of a certified rho under
+    the couplings of seeds seed ... seed + n - 1, one stack of at most _CHUNK
+    a pass; only the first stack is taken from the cache."""
     rates = []
-    while chunk := list(itertools.islice(pairs, _PROPAGATOR_CACHE_SIZE)):
-        stack = np.array(chunk)  # (k, 2, 4, 4); stack[:, ::-1] swaps u and u†
+    for start in range(0, n, _CHUNK):
+        build = _propagator_stack if start == 0 else _propagator_stack.__wrapped__
+        stack = build(seed + start, min(_CHUNK, n - start), step)
+        # stack[:, ::-1] swaps u and u†
         s = _marginal_entropies((stack @ rho @ stack[:, ::-1]).reshape(-1, 4, 4))
         rates += [(plus - minus) / (2.0 * step) for plus, minus in zip(s[::2], s[1::2])]
     return tuple(rates)
@@ -159,14 +157,10 @@ def laziness_dynamics_check(
     # the check's one physicality gate; the witness and every rate then see
     # the Hermitian part
     rho = certify(rho, who)
-    comm = _commutator_witness(rho)
+    rho_a = partial_trace_b(rho)
+    comm = _commutator_witness(rho, rho_a)
     lazy = comm <= DEFAULT_TOL
-    caution = _pure_marginal(rho)
-    propagators = (
-        (_propagator if k < _PROPAGATOR_CACHE_SIZE else _propagator.__wrapped__)(seed + k, step)
-        for k in range(n_hamiltonians)
-    )
-    rates = _entropy_rates(rho, propagators, step)
+    rates = _entropy_rates(rho, n_hamiltonians, seed, step)
     max_abs = max(abs(r) for r in rates)
     consistent, gray = _consistency(lazy, max_abs, comm, rate_tol, nonzero_tol)
     return DynamicsCheckReport(
@@ -176,5 +170,6 @@ def laziness_dynamics_check(
         commutator_norm=comm,
         consistent=consistent,
         gray_zone=gray,
-        caution=caution,
+        # a marginal pure to 1e-12 leaves the entropy derivative ill conditioned
+        caution=_purity(rho_a) >= 1.0 - 1e-12,
     )

@@ -347,6 +347,33 @@ def test_census_workers_are_capped(monkeypatch, capsys):
     ]
 
 
+# calls cli.main in the child and sends itself SIGINT about 1 s later, long
+# after the imports, from a timer thread
+_INTERRUPTED_CHILD = """
+import os, signal, sys, threading
+from lazystates import cli
+threading.Timer(1.0, os.kill, (os.getpid(), signal.SIGINT)).start()
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"], ids=["workers_1", "workers_2"])
+def test_exit_130_when_a_census_is_interrupted(workers):
+    # a census of 10**12 samples runs for hours; Ctrl-C must end it with one
+    # line, the pool's workers included
+    args = ["bd", "census", "--samples", "1000000000000", "--seed", "1", "--workers", workers]
+    child = subprocess.Popen(
+        [sys.executable, "-c", _INTERRUPTED_CHILD, *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        out, err = child.communicate(timeout=10)
+    finally:
+        child.kill()
+        child.wait()
+    assert (child.returncode, out, err) == (130, "", "error: interrupted\n")
+
+
 def test_largest_step_is_accepted():
     # step 1e-3, and 19 of these couplings have a computed spectral norm of 1 + 1 ulp
     result = run_cli(

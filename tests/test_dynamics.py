@@ -10,13 +10,13 @@ import pytest
 from lazystates import dynamics
 from lazystates.belldiag import bd_compose
 from lazystates.dynamics import (
-    _PROPAGATOR_CACHE_SIZE,
+    _CHUNK,
     COMM_GRAY_ZONE,
     DEFAULT_STEP,
     _consistency,
     _coupling,
     _marginal_entropies,
-    _propagator,
+    _propagator_stack,
     laziness_dynamics_check,
 )
 from lazystates.families import (
@@ -221,10 +221,10 @@ CHECK_CASES = [(0, 20, 1e-4), (11, 5, 5e-5), (1000, 33, 2e-4), (2**40, 3, 1e-5)]
 def test_cached_couplings_give_the_uncached_rates(seed, n_hamiltonians, step):
     rng = np.random.default_rng(seed % 997)
     states = [make(rng) for make in DYNAMICS_KINDS.values()]
-    _propagator.cache_clear()
+    _propagator_stack.cache_clear()
     cold = [laziness_dynamics_check(rho, n_hamiltonians, seed, step) for rho in states]
-    # one propagator pair built per (seed, step), shared by every state
-    assert _propagator.cache_info().misses == n_hamiltonians
+    # one propagator stack built per (seed, n, step), shared by every state
+    assert _propagator_stack.cache_info().misses == 1
     warm = [laziness_dynamics_check(rho, n_hamiltonians, seed, step) for rho in states]
     for k in range(n_hamiltonians):
         assert np.array_equal(_coupling(seed + k), fresh_coupling(seed + k))
@@ -252,7 +252,7 @@ def test_mutating_a_returned_coupling_leaves_the_check_alone():
     before = laziness_dynamics_check(rho, 4, seed=40)
     coupling = _coupling(41)
     assert coupling.flags.writeable
-    assert not any(a.flags.writeable for a in _propagator(41, DEFAULT_STEP))
+    assert not _propagator_stack(40, 4, DEFAULT_STEP).flags.writeable
     coupling[:] = 0.0
     after = laziness_dynamics_check(rho, 4, seed=40)
     assert repr(after) == repr(before)
@@ -261,11 +261,11 @@ def test_mutating_a_returned_coupling_leaves_the_check_alone():
 
 
 def test_cache_accepts_the_seeds_numpy_accepts():
-    u, _ = _propagator(np.int64(5), DEFAULT_STEP)
-    assert np.array_equal(_propagator(5, DEFAULT_STEP)[0], u)
+    stack = _propagator_stack(np.int64(5), 1, DEFAULT_STEP)
+    assert np.array_equal(_propagator_stack(5, 1, DEFAULT_STEP), stack)
     # 5.0 == 5, but default_rng refuses a float seed, cached or not
     with pytest.raises(TypeError):
-        _propagator(5.0, DEFAULT_STEP)
+        _propagator_stack(5.0, 1, DEFAULT_STEP)
     with pytest.raises(TypeError):
         laziness_dynamics_check(np.eye(4) / 4, 1, seed=5.0)
 
@@ -273,7 +273,7 @@ def test_cache_accepts_the_seeds_numpy_accepts():
 @pytest.mark.parametrize("step", [0.0, -1e-4, 0.01])
 def test_bad_step_raises_the_same_error_on_a_warm_cache(step):
     rho = bd_compose([0.2, 0.1, -0.3])
-    _propagator.cache_clear()
+    _propagator_stack.cache_clear()
     with pytest.raises(InvalidArgument) as cold:
         laziness_dynamics_check(rho, 3, seed=5, step=step)
     laziness_dynamics_check(rho, 3, seed=5)
@@ -289,7 +289,7 @@ def test_check_matches_the_reference_arithmetic(seed, n_hamiltonians, step):
     rng = np.random.default_rng(seed % 997)
     states = [make(rng) for make in DYNAMICS_KINDS.values()]
     oracle = [_reference_rates(rho, n_hamiltonians, seed, step) for rho in states]
-    _propagator.cache_clear()
+    _propagator_stack.cache_clear()
     for _ in ("cold", "warm"):
         reports = [laziness_dynamics_check(rho, n_hamiltonians, seed, step) for rho in states]
         assert repr([r.rates for r in reports]) == repr(oracle)
@@ -335,10 +335,10 @@ def test_dynamics_reports_are_pinned():
     "n_hamiltonians",
     [
         1,
-        _PROPAGATOR_CACHE_SIZE - 1,
-        _PROPAGATOR_CACHE_SIZE,
-        _PROPAGATOR_CACHE_SIZE + 1,
-        2 * _PROPAGATOR_CACHE_SIZE + 1,
+        _CHUNK - 1,
+        _CHUNK,
+        _CHUNK + 1,
+        2 * _CHUNK + 1,
     ],
 )
 def test_chunk_boundaries_give_the_reference_rates(monkeypatch, n_hamiltonians):
@@ -350,9 +350,8 @@ def test_chunk_boundaries_give_the_reference_rates(monkeypatch, n_hamiltonians):
     )
     report = laziness_dynamics_check(rho, n_hamiltonians, seed=3000)
     assert repr(report.rates) == repr(_reference_rates(rho, n_hamiltonians, 3000, DEFAULT_STEP))
-    # each pass stacks u rho u† and u† rho u of at most _PROPAGATOR_CACHE_SIZE couplings
-    sizes = [min(_PROPAGATOR_CACHE_SIZE, n_hamiltonians - start)
-             for start in range(0, n_hamiltonians, _PROPAGATOR_CACHE_SIZE)]
+    # each pass stacks u rho u† and u† rho u of at most _CHUNK couplings
+    sizes = [min(_CHUNK, n_hamiltonians - start) for start in range(0, n_hamiltonians, _CHUNK)]
     assert stacked == [2 * k for k in sizes]
 
 
@@ -385,42 +384,72 @@ def test_stacked_rates_match_the_reference_under_the_prescott_kernel():
 
 
 def test_repeated_check_past_the_cache_size_hits_the_cache():
-    # couplings past the cache size are built uncached; cycled through the
-    # cache in order, each would be evicted just before its next use
+    # stacks past the first are built uncached; cycled through the cache in
+    # order, each would be evicted before its next use
     rho = ginibre_state(np.random.default_rng(9))
-    n = _PROPAGATOR_CACHE_SIZE + 1
-    _propagator.cache_clear()
+    n = _CHUNK + 1
+    _propagator_stack.cache_clear()
     first = laziness_dynamics_check(rho, n, seed=5000)
-    assert _propagator.cache_info()[:2] == (0, _PROPAGATOR_CACHE_SIZE)  # hits, misses
+    assert _propagator_stack.cache_info()[:2] == (0, 1)  # hits, misses
     second = laziness_dynamics_check(rho, n, seed=5000)
-    assert _propagator.cache_info()[:2] == (_PROPAGATOR_CACHE_SIZE, _PROPAGATOR_CACHE_SIZE)
+    assert _propagator_stack.cache_info()[:2] == (1, 1)
+    assert _propagator_stack.cache_info().currsize == 1
     assert repr(second) == repr(first)
     assert repr(first.rates) == repr(_reference_rates(rho, n, 5000, DEFAULT_STEP))
 
 
 def test_propagators_are_keyed_by_seed_and_step():
-    # alternating steps and overlapping seed ranges on a warm cache: a key
-    # that dropped the step or shifted the seed would hand back a wrong pair
+    # alternating steps, overlapping seed ranges and counts on a warm cache:
+    # a key that dropped the step or the count or shifted the seed would
+    # hand back a wrong stack
     rho = ginibre_state(np.random.default_rng(8))
     for step in (1e-4, 5e-5, 1e-4, 2e-4):
-        for seed in (60, 61, 60):
-            report = laziness_dynamics_check(rho, 3, seed, step)
-            assert repr(report.rates) == repr(_reference_rates(rho, 3, seed, step))
-    u, _ = _propagator(60, 1e-4)
-    assert not np.array_equal(u, _propagator(61, 1e-4)[0])
-    assert not np.array_equal(u, _propagator(60, 5e-5)[0])
+        for seed, n in ((60, 3), (61, 3), (60, 3), (60, 2)):
+            report = laziness_dynamics_check(rho, n, seed, step)
+            assert repr(report.rates) == repr(_reference_rates(rho, n, seed, step))
+    stack = _propagator_stack(60, 3, 1e-4)
+    assert not np.array_equal(stack, _propagator_stack(61, 3, 1e-4))
+    assert not np.array_equal(stack, _propagator_stack(60, 3, 5e-5))
+    assert np.array_equal(_propagator_stack(60, 2, 1e-4), stack[:2])
 
 
 def test_cached_propagators_are_read_only():
-    u, u_dag = _propagator(62, DEFAULT_STEP)
-    assert np.array_equal(u_dag, u.conj().T)
-    w, v = np.linalg.eigh(fresh_coupling(62))
-    assert np.array_equal(u, (v * np.exp(-1j * w * DEFAULT_STEP)) @ v.conj().T)
-    for a in (u, u_dag, u_dag.base):
+    stack = _propagator_stack(62, 2, DEFAULT_STEP)
+    assert stack.shape == (2, 2, 4, 4)
+    for k, (u, u_dag) in enumerate(stack):
+        assert np.array_equal(u_dag, u.conj().T)
+        w, v = np.linalg.eigh(fresh_coupling(62 + k))
+        assert np.array_equal(u, (v * np.exp(-1j * w * DEFAULT_STEP)) @ v.conj().T)
+    # the stack and the view of it with u and u† swapped, as the check reads it
+    for a in (stack, stack[:, ::-1]):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
-            a[0, 0] = 0.0
-    assert _propagator(62, DEFAULT_STEP)[0] is u
+            a[0, 0, 0, 0] = 0.0
+    assert _propagator_stack(62, 2, DEFAULT_STEP) is stack
+
+
+def test_stack_cache_never_holds_more_than_256_kb():
+    maxsize = _propagator_stack.cache_parameters()["maxsize"]
+    # full-size stacks of 128 KB, so that maxsize of them fill the 256 KB
+    assert _propagator_stack(7000, _CHUNK, DEFAULT_STEP).nbytes == 128 * 1024
+    assert maxsize * 128 * 1024 <= 256 * 1024
+    for key in range(maxsize + 2):
+        _propagator_stack(7001 + key, _CHUNK - key % 2, DEFAULT_STEP)
+        assert _propagator_stack.cache_info().currsize <= maxsize
+
+
+def test_warm_benchmark_check_makes_one_cache_hit_and_builds_nothing(monkeypatch):
+    rho = ginibre_state(np.random.default_rng(10))
+    cold = laziness_dynamics_check(rho, 20, seed=0, step=1e-4)
+    before = _propagator_stack.cache_info()
+    built = []
+    monkeypatch.setattr(dynamics, "_coupling", lambda *args: built.append(args))
+    monkeypatch.setattr(dynamics, "_propagator", lambda *args: built.append(args))
+    warm = laziness_dynamics_check(rho, 20, seed=0, step=1e-4)
+    after = _propagator_stack.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+    assert built == []
+    assert repr(warm) == repr(cold)
 
 
 @pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf])
@@ -431,11 +460,11 @@ def test_non_finite_step_is_rejected(bell_phi_plus, step):
 
 
 def test_rejected_step_leaves_nothing_cached(bell_phi_plus):
-    _propagator.cache_clear()
+    _propagator_stack.cache_clear()
     for step in (math.nan, 0.0, 0.01):
         with pytest.raises(ValueError):
             laziness_dynamics_check(bell_phi_plus, 2, seed=3, step=step)
-    assert _propagator.cache_info().currsize == 0
+    assert _propagator_stack.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("n_hamiltonians", [0, -1])
@@ -475,7 +504,7 @@ def test_check_eigensolves_only_exactly_hermitian_matrices(monkeypatch, bell_phi
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
-    _propagator.cache_clear()
+    _propagator_stack.cache_clear()
     laziness_dynamics_check(bell_phi_plus, 3, seed=7)
     assert len(calls) == 1 + 2 * 3
     assert all(np.array_equal(m, m.conj().T) for m in calls)
