@@ -11,33 +11,19 @@ from .belldiag import (
     bd_compose,
     bd_region,
     bd_slice,
-    bd_spectrum,
     census_to_csv,
     slice_to_csv,
 )
-from .classify import (
-    DEFAULT_TOL,
-    Classification,
-    ConsistencyError,
-    classify,
-    is_product,
-    lazy_by_commutator,
-    lazy_by_parallelism,
-    pure_schmidt,
-    separable_ppt,
-    zero_discord_a,
-)
+from .classify import DEFAULT_TOL, Classification, ConsistencyError, classify
 from .dynamics import DynamicsCheckReport, laziness_dynamics_check
 from .families import (
     LazyDiscordantParams,
     SeparableFamilyParams,
     lazy_discordant_compose,
-    lazy_discordant_spectrum,
     separable_classify,
     separable_compose,
-    separable_fano,
 )
-from .fano import FanoParams, NormalForm, PhysicalityReport, compose, decompose, normal_form, validate
+from .fano import FanoParams, NormalForm, compose, decompose, normal_form
 from .stateio import StateFileError, load_state_file, save_state_file
 
 # every name imported above is public, and nothing else

@@ -76,17 +76,6 @@ def bd_compose(lam):
     return rho / 4.0
 
 
-def bd_spectrum(lam):
-    """Closed-form eigenvalues of the Bell-diagonal state.
-
-    (1 - l1 + l2 + l3, 1 + l1 - l2 + l3, 1 + l1 + l2 - l3, 1 - l1 - l2 - l3)/4.
-    """
-    l1, l2, l3 = np.asarray(lam, dtype=float).reshape(3)
-    return 0.25 * np.array(
-        [1 - l1 + l2 + l3, 1 + l1 - l2 + l3, 1 + l1 + l2 - l3, 1 - l1 - l2 - l3]
-    )
-
-
 def _label_points(lam, tol):
     """Vector core: region codes (indices into REGION_LABELS) + boundary mask.
 

@@ -75,7 +75,7 @@ def _marginal_entropies(m) -> list:
     """Base-2 entropies of the first-qubit marginals of the (k, 4, 4) stack m.
 
     Each marginal [[m00 + m11, m02 + m13], [., m22 + m33]] is read straight
-    off m; its spectrum has qubit_spectrum's closed form.  abs and math.hypot
+    off m; its spectrum is (1 ∓ |x|)/2, x its Bloch vector.  abs and math.hypot
     run per element: numpy's vectorized abs and hypot round differently.
     """
     z = (m[:, 0, 0] + m[:, 1, 1] - (m[:, 2, 2] + m[:, 3, 3])).real.tolist()

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fano import FanoParams
 from .matcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, kron
 
 
@@ -76,18 +75,6 @@ def lazy_discordant_compose(q: LazyDiscordantParams):
     return rho / 4.0
 
 
-def lazy_discordant_spectrum(q: LazyDiscordantParams):
-    """Closed-form eigenvalues (1 ± sqrt(y1^2 + (l3 ± l2)^2)) / 4.
-
-    Order: plus/minus of the (l3+l2) branch, then of the (l3-l2) branch.
-    Valid for any parameter triple; positivity holds exactly on the family's
-    admissible region.
-    """
-    s_plus = math.hypot(q.y1, q.lambda3 + q.lambda2)
-    s_minus = math.hypot(q.y1, q.lambda3 - q.lambda2)
-    return 0.25 * np.array([1 + s_plus, 1 - s_plus, 1 + s_minus, 1 - s_minus])
-
-
 def check_separable_params(s: SeparableFamilyParams) -> None:
     if not 0.0 < s.p < 1.0:
         raise ValueError(
@@ -115,20 +102,6 @@ def separable_compose(s: SeparableFamilyParams):
     rho1 = _qubit((0.0, 0.0, s.a))
     rho2 = _qubit((s.b * math.sin(s.beta), 0.0, s.b * math.cos(s.beta)))
     return s.p * kron(psi1, rho1) + (1.0 - s.p) * kron(psi2, rho2)
-
-
-def separable_fano(s: SeparableFamilyParams) -> FanoParams:
-    """Closed-form Pauli parameters of the mixture (middle column of t is zero)."""
-    check_separable_params(s)
-    p, q = s.p, 1.0 - s.p
-    sa, ca = math.sin(s.alpha), math.cos(s.alpha)
-    sb, cb = math.sin(s.beta), math.cos(s.beta)
-    x = np.array([q * sa, 0.0, p + q * ca])
-    y = np.array([q * s.b * sb, 0.0, p * s.a + q * s.b * cb])
-    t = np.zeros((3, 3))
-    t[:, 0] = (s.b * q * sa * sb, 0.0, s.b * q * ca * sb)
-    t[:, 2] = (s.b * q * sa * cb, 0.0, s.a * p + s.b * q * ca * cb)
-    return FanoParams(x=x, y=y, t=t)
 
 
 def separable_classify(s: SeparableFamilyParams) -> str:

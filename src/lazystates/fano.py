@@ -12,8 +12,8 @@ can only flip two signs of T at a time, the reachable diagonal d keeps one
 negative entry when det T < 0; its absolute values are the singular values.
 
 Every 4x4 input that should be a state passes one gate, _gate, once;
-validate, decompose, certify and classify each read their answer off it,
-and normal-form reads both decompose's and certify's off one pass.
+decompose, certify and classify each read their answer off it, and
+normal-form reads both decompose's and certify's off one pass.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .matcore import (
     svd3,
 )
 
-# the state gate's fixed tolerance in validate, decompose and certify
+# the state gate's fixed tolerance in decompose and certify
 STATE_TOL = 1e-9
 
 # 16-element tensor basis, index 4*i + j, element 0 the identity
@@ -143,29 +143,19 @@ def decompose(rho) -> FanoParams:
     """Extract (x, y, T) from a Hermitian unit-trace 4x4 matrix.
 
     x_i = tr(rho s_i@I), y_j = tr(rho I@s_j), T_ij = tr(rho s_i@s_j).
-    Hermiticity and trace are checked at validate's fixed STATE_TOL.
+    Hermiticity and trace are checked at the gate's fixed STATE_TOL.
     """
     return _decomposed(_gate(rho, "decompose", STATE_TOL))
 
 
 def compose(p: FanoParams):
-    """Inverse of decompose; positivity is not enforced (see validate)."""
+    """Inverse of decompose; positivity is not enforced (certify and classify judge it)."""
     coeffs = np.zeros((4, 4))
     coeffs[0, 0] = 1.0
     coeffs[1:, 0] = p.x
     coeffs[0, 1:] = p.y
     coeffs[1:, 1:] = p.t
     return np.einsum("k,kab->ab", coeffs.reshape(16), PAULI_BASIS) / 4.0
-
-
-def validate(rho) -> PhysicalityReport:
-    """Check Hermiticity, unit trace and positive semidefiniteness at STATE_TOL.
-
-    The minimum eigenvalue is reported for the Hermitian part even when the
-    Hermiticity check fails, so the report is always fully populated.  A
-    shape other than 4x4 or a non-finite entry raises ValueError (see _gate).
-    """
-    return _gate(rho, "validate", STATE_TOL).report
 
 
 def _certified(g: _Gated, who: str):
@@ -179,7 +169,7 @@ def _certified(g: _Gated, who: str):
 
 
 def certify(rho, who: str):
-    """The Hermitian part (rho + rho†)/2 of a state that validate passes.
+    """The Hermitian part (rho + rho†)/2 of a state the gate passes at STATE_TOL.
 
     Raises ValueError naming `who` when rho is unphysical at STATE_TOL.  For
     an exactly Hermitian rho the result is bit-identical to rho.

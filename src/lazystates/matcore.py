@@ -111,19 +111,6 @@ def _require_tol(value, who, name):
         raise InvalidArgument(f"{who}: {name} must be a finite number > 0 (got {value!r})")
 
 
-def qubit_spectrum(m):
-    """Eigenvalues ((1 - |x|)/2, (1 + |x|)/2) of a qubit state m = (I + x.s)/2.
-
-    The closed form needs no eigensolve and gives exactly (1/2, 1/2) when
-    the Bloch vector x rounds to zero, so entropies of nearly maximally mixed
-    marginals do not pick up solver noise.  m must be Hermitian with unit
-    trace; only m[0, 1] and the diagonal are read.
-    """
-    m = np.asarray(m, dtype=complex)
-    r = math.hypot(float((m[0, 0] - m[1, 1]).real), 2.0 * abs(m[0, 1]))
-    return np.array([(1.0 - r) / 2.0, (1.0 + r) / 2.0])
-
-
 def dot3(a, b) -> float:
     """a . b of two 3-sequences of floats, summed left to right from +0.0.
 

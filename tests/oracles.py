@@ -1,17 +1,70 @@
 """Reference computations that the tests hold the package against."""
 
+import math
 import platform
 
 import numpy as np
 
+from lazystates.fano import FanoParams
+from lazystates.families import check_separable_params
 from lazystates.matcore import (
     I2,
     PAULIS,
     frob_norm,
     kron,
     partial_trace_b,
-    qubit_spectrum,
 )
+
+
+def qubit_spectrum(m):
+    """Eigenvalues ((1 - |x|)/2, (1 + |x|)/2) of a qubit state m = (I + x.s)/2.
+
+    The closed form needs no eigensolve and gives exactly (1/2, 1/2) when
+    the Bloch vector x rounds to zero.  m must be Hermitian with unit trace;
+    only m[0, 1] and the diagonal are read.
+    """
+    m = np.asarray(m, dtype=complex)
+    r = math.hypot(float((m[0, 0] - m[1, 1]).real), 2.0 * abs(m[0, 1]))
+    return np.array([(1.0 - r) / 2.0, (1.0 + r) / 2.0])
+
+
+def bd_spectrum(lam):
+    """Closed-form eigenvalues of the Bell-diagonal state.
+
+    (1 - l1 + l2 + l3, 1 + l1 - l2 + l3, 1 + l1 + l2 - l3, 1 - l1 - l2 - l3)/4.
+    """
+    l1, l2, l3 = np.asarray(lam, dtype=float).reshape(3)
+    return 0.25 * np.array(
+        [1 - l1 + l2 + l3, 1 + l1 - l2 + l3, 1 + l1 + l2 - l3, 1 - l1 - l2 - l3]
+    )
+
+
+def lazy_discordant_spectrum(q):
+    """Closed-form eigenvalues (1 ± sqrt(y1^2 + (l3 ± l2)^2)) / 4 of the
+    lazy-discordant state of LazyDiscordantParams q.
+
+    Order: plus/minus of the (l3+l2) branch, then of the (l3-l2) branch.
+    Valid for any parameter triple; positivity holds exactly on the family's
+    admissible region.
+    """
+    s_plus = math.hypot(q.y1, q.lambda3 + q.lambda2)
+    s_minus = math.hypot(q.y1, q.lambda3 - q.lambda2)
+    return 0.25 * np.array([1 + s_plus, 1 - s_plus, 1 + s_minus, 1 - s_minus])
+
+
+def separable_fano(s):
+    """Closed-form Pauli parameters of the separable mixture of
+    SeparableFamilyParams s (middle column of t is zero)."""
+    check_separable_params(s)
+    p, q = s.p, 1.0 - s.p
+    sa, ca = math.sin(s.alpha), math.cos(s.alpha)
+    sb, cb = math.sin(s.beta), math.cos(s.beta)
+    x = np.array([q * sa, 0.0, p + q * ca])
+    y = np.array([q * s.b * sb, 0.0, p * s.a + q * s.b * cb])
+    t = np.zeros((3, 3))
+    t[:, 0] = (s.b * q * sa * sb, 0.0, s.b * q * ca * sb)
+    t[:, 2] = (s.b * q * sa * cb, 0.0, s.a * p + s.b * q * ca * cb)
+    return FanoParams(x=x, y=y, t=t)
 
 
 def fresh_coupling(seed):

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from lazystates.belldiag import bd_spectrum
 from lazystates.families import LazyDiscordantParams, SeparableFamilyParams, _qubit
 from lazystates.matcore import kron
+from oracles import bd_spectrum
 
 
 def ginibre_state(rng: np.random.Generator):

@@ -14,25 +14,24 @@ from pathlib import Path
 
 import numpy as np
 
-from lazystates.belldiag import bd_census, bd_compose, bd_spectrum
-from lazystates.classify import (
-    classify,
-    lazy_by_commutator,
-    lazy_by_parallelism,
-    separable_ppt,
-    zero_discord_a,
-)
+from lazystates.belldiag import bd_census, bd_compose
+from lazystates.classify import _discord_svd, classify
 from lazystates.families import (
     LazyDiscordantParams,
     SeparableFamilyParams,
     lazy_discordant_compose,
-    lazy_discordant_spectrum,
     separable_classify,
     separable_compose,
-    separable_fano,
 )
 from lazystates.fano import decompose
-from oracles import entropy_rate_reference, fresh_coupling, pinch_residual
+from oracles import (
+    bd_spectrum,
+    entropy_rate_reference,
+    fresh_coupling,
+    lazy_discordant_spectrum,
+    pinch_residual,
+    separable_fano,
+)
 from sampling import (
     ginibre_state,
     random_bell_diagonal_point,
@@ -69,8 +68,8 @@ def test_criterion_1_route_equivalence():
     disagreements = 0
     gray = 0
     for rho in _ginibre_batch():
-        comm = lazy_by_commutator(rho)
-        residual = lazy_by_parallelism(decompose(rho))
+        witnesses = classify(rho, TOL).witnesses
+        comm, residual = witnesses["commutator_norm"], witnesses["parallel_residual"]
         in_gray = (
             GRAY_RESIDUALS[0] <= comm <= GRAY_RESIDUALS[1]
             or GRAY_RESIDUALS[0] <= residual <= GRAY_RESIDUALS[1]
@@ -89,8 +88,9 @@ def test_criterion_1_route_equivalence():
 
 
 def _zero_discord_pinch(rho):
-    """Pinch residual along the measurement direction zero_discord_a returns."""
-    _, n = zero_discord_a(decompose(rho))
+    """Pinch residual along the measurement direction n of [x | T]."""
+    p = decompose(rho)
+    _, n = _discord_svd(np.column_stack((p.x, p.t)))
     return pinch_residual(rho, n)
 
 
@@ -204,7 +204,7 @@ def test_criterion_5_spectrum_formula_and_ppt():
         octa_sum = float(np.abs(lam).sum())
         if formula[0] >= -TOL and abs(octa_sum - 1.0) > 1e-8:
             physical_seen += 1
-            _, min_pt = separable_ppt(bd_compose(lam))
+            min_pt = classify(bd_compose(lam), TOL).witnesses["min_pt_eigenvalue"]
             if (min_pt >= -TOL) != (octa_sum <= 1.0):
                 ppt_mismatches += 1
     _report(
@@ -294,7 +294,7 @@ def _non_lazy_pool(rng, count):
             rho = separable_compose(random_separable_params(rng))
         else:
             rho = ginibre_state(rng)
-        if lazy_by_commutator(rho) > 1e-4:
+        if classify(rho, TOL).witnesses["commutator_norm"] > 1e-4:
             states.append(rho)
     return states
 

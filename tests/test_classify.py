@@ -11,17 +11,17 @@ from lazystates import fano, matcore
 from lazystates.classify import (
     DEFAULT_TOL as TOL,
     WITNESS_KEYS,
+    _commutator_witness,
+    _discord_svd,
+    _parallel_residual,
+    _ppt,
+    _product_residual,
+    _purity,
     classify,
-    is_product,
-    lazy_by_commutator,
-    lazy_by_parallelism,
-    pure_schmidt,
-    separable_ppt,
-    zero_discord_a,
 )
 from lazystates.families import SeparableFamilyParams, separable_classify, separable_compose
-from lazystates.fano import FanoParams, compose, decompose, validate
-from lazystates.matcore import I2, PAULIS, kron, swap_subsystems
+from lazystates.fano import FanoParams, compose, decompose
+from lazystates.matcore import I2, PAULIS, kron, partial_trace_b, swap_subsystems
 from oracles import pinch_residual, schmidt_lazy
 from sampling import (
     ginibre_state,
@@ -47,18 +47,22 @@ def bloch_product(a, b):
     return kron(rho_a, rho_b)
 
 
+def witnesses(rho):
+    return classify(rho).witnesses
+
+
+def discord_svd(p):
+    """(sigma_2, n) of [x | t] for the parameters p, by classify's kernel."""
+    return _discord_svd(np.column_stack((p.x, p.t)))
+
+
 def test_lazy_by_commutator_examples(bell_phi_plus, maximally_mixed):
-    norm = lazy_by_commutator(maximally_mixed)
+    norm = witnesses(maximally_mixed)["commutator_norm"]
     assert norm <= TOL and norm == 0.0
-    assert lazy_by_commutator(bell_phi_plus) <= TOL
-    norm = lazy_by_commutator(separable_compose(NOT_LAZY_WITNESS))
+    assert witnesses(bell_phi_plus)["commutator_norm"] <= TOL
+    norm = witnesses(separable_compose(NOT_LAZY_WITNESS))["commutator_norm"]
     assert norm > TOL
     assert norm > 0.01
-
-
-def test_lazy_by_commutator_rejects_unphysical():
-    with pytest.raises(ValueError):
-        lazy_by_commutator(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
 
 
 def test_commutator_norm_closed_form():
@@ -69,26 +73,24 @@ def test_commutator_norm_closed_form():
     for _ in range(100):
         rho = ginibre_state(rng)
         p = decompose(rho)
-        norm = lazy_by_commutator(rho)
+        w = witnesses(rho)
         expected = 0.5 * np.sqrt(
             sum(np.linalg.norm(np.cross(p.x, p.t[:, j])) ** 2 for j in range(3))
         )
-        assert abs(norm - expected) <= 1e-12
-        assert abs(lazy_by_parallelism(p) - expected) <= 1e-12
+        assert abs(w["commutator_norm"] - expected) <= 1e-12
+        assert abs(w["parallel_residual"] - expected) <= 1e-12
 
 
 def test_lazy_by_parallelism_examples():
-    residual = lazy_by_parallelism(
-        FanoParams(np.zeros(3), np.zeros(3), np.random.default_rng(1).uniform(-1, 1, (3, 3)))
-    )
+    # the parallelism kernel on parameter sets, physical or not
+    t = np.random.default_rng(1).uniform(-1, 1, (3, 3))
+    residual = _parallel_residual(np.zeros(3), t)
     assert residual <= TOL and residual == 0.0
 
-    p = FanoParams([0.0, 0.0, 0.5], np.zeros(3), np.diag([0.0, 0.0, 0.7]))
-    residual = lazy_by_parallelism(p)
+    residual = _parallel_residual(np.array([0.0, 0.0, 0.5]), np.diag([0.0, 0.0, 0.7]))
     assert residual <= TOL and residual <= 1e-15
 
-    p = FanoParams([0.0, 0.0, 0.5], np.zeros(3), np.diag([0.0, 0.3, 0.7]))
-    residual = lazy_by_parallelism(p)
+    residual = _parallel_residual(np.array([0.0, 0.0, 0.5]), np.diag([0.0, 0.3, 0.7]))
     assert residual > TOL
     # cross product of x with column 2 is (-0.15, 0, 0), halved like the commutator
     assert abs(residual - 0.075) <= 1e-15
@@ -97,10 +99,8 @@ def test_lazy_by_parallelism_examples():
 def test_route_equivalence_random():
     rng = np.random.default_rng(59)
     for _ in range(1000):
-        rho = ginibre_state(rng)
-        v1 = lazy_by_commutator(rho) <= TOL
-        v2 = lazy_by_parallelism(decompose(rho)) <= TOL
-        assert v1 == v2
+        w = witnesses(ginibre_state(rng))
+        assert (w["commutator_norm"] <= TOL) == (w["parallel_residual"] <= TOL)
 
 
 def test_route_equivalence_on_lazy_states():
@@ -111,8 +111,8 @@ def test_route_equivalence_on_lazy_states():
         lazy_discordant_compose(random_lazy_discordant_params(rng)) for _ in range(50)
     ]
     for rho in states:
-        n1 = lazy_by_commutator(rho)
-        n2 = lazy_by_parallelism(decompose(rho))
+        w = witnesses(rho)
+        n1, n2 = w["commutator_norm"], w["parallel_residual"]
         assert n1 <= TOL and n2 <= TOL
         assert n1 <= 1e-12 and n2 <= 1e-12
 
@@ -132,14 +132,14 @@ def test_route_agreement_does_not_scale_with_tol():
 
 def test_zero_discord_product_state():
     rho = bloch_product([0.2, -0.1, 0.4], [0.0, 0.3, -0.2])
-    sigma_2, n = zero_discord_a(decompose(rho))
-    assert sigma_2 <= TOL
+    sigma_2, n = discord_svd(decompose(rho))
+    assert sigma_2 <= TOL and witnesses(rho)["sigma_2"] <= TOL
     assert abs(np.linalg.norm(n) - 1.0) <= 1e-12
 
 
 def test_zero_discord_bell_is_discordant(bell_phi_plus):
     # [x | t] = [0 | diag(1, -1, 1)]: three unit singular values
-    sigma_2, _ = zero_discord_a(decompose(bell_phi_plus))
+    sigma_2 = witnesses(bell_phi_plus)["sigma_2"]
     assert sigma_2 > TOL
     assert abs(sigma_2 - 1.0) <= 1e-12
 
@@ -148,8 +148,7 @@ def test_zero_discord_two_singular_values():
     rho = lazy_discordant_compose(
         __import__("lazystates").LazyDiscordantParams(0.5, 0.3, 0.4)
     )
-    sigma_2, _ = zero_discord_a(decompose(rho))
-    assert sigma_2 > TOL
+    assert witnesses(rho)["sigma_2"] > TOL
 
 
 def test_zero_discord_classical_mixture():
@@ -164,7 +163,7 @@ def test_zero_discord_classical_mixture():
         rho1 = (I2 + sum(b1[i] * PAULIS[i] for i in range(3))) / 2
         rho2 = (I2 + sum(b2[i] * PAULIS[i] for i in range(3))) / 2
         rho = p * kron(up, rho1) + (1 - p) * kron(dn, rho2)
-        sigma_2, n = zero_discord_a(decompose(rho))
+        sigma_2, n = discord_svd(decompose(rho))
         assert sigma_2 <= TOL
         assert abs(abs(n[2]) - 1.0) <= 1e-9
 
@@ -185,7 +184,7 @@ def test_pinch_residual_is_half_the_tail_of_x_beside_t():
     for rho in states:
         p = decompose(rho)
         s = np.linalg.svd(np.column_stack((p.x, p.t)), compute_uv=False)
-        sigma_2, n = zero_discord_a(p)
+        sigma_2, n = discord_svd(p)
         assert sigma_2 <= 2.0
         assert abs(pinch_residual(rho, n) - 0.5 * math.hypot(s[1], s[2])) <= 1e-12
         if sigma_2 <= TOL:
@@ -235,33 +234,38 @@ def test_zero_discord_flips_where_sigma_2_crosses_tol(a, sigma, tol):
         p = FanoParams([a, eps, 0.0], np.zeros(3), np.diag([sigma, 0.0, 0.0]))
         s = np.linalg.svd(np.column_stack((p.x, p.t)), compute_uv=False)
         assert abs(s[1] - s2) <= 1e-6 * s2
-        assert (zero_discord_a(p)[0] <= tol) is expected
+        assert (discord_svd(p)[0] <= tol) is expected
         assert classify(compose(p), tol).zero_discord_a is expected
 
 
 def test_is_product_examples(bell_phi_plus):
     rho = bloch_product([0.2, -0.1, 0.4], [0.0, 0.3, -0.2])
-    residual = is_product(rho)
+    residual = witnesses(rho)["product_residual"]
     assert residual <= TOL and residual <= 1e-13
-    residual = is_product(bell_phi_plus)
+    residual = witnesses(bell_phi_plus)["product_residual"]
     assert residual > TOL
     assert residual > 0.5
     # the family mixture collapses to a product when rho1 = rho2
     rho = separable_compose(SeparableFamilyParams(0.5, np.pi / 2, 0.0, 0.7, 0.7))
-    assert is_product(rho) <= TOL
+    assert witnesses(rho)["product_residual"] <= TOL
+
+
+def _ppt_witnesses(rho):
+    w = witnesses(rho)
+    return w["negativity"], w["min_pt_eigenvalue"]
 
 
 def test_separable_ppt_examples(bell_phi_plus):
     rho = bloch_product([0.2, -0.1, 0.4], [0.0, 0.3, -0.2])
-    negativity, min_pt = separable_ppt(rho)
+    negativity, min_pt = _ppt_witnesses(rho)
     assert min_pt >= -TOL and negativity <= 1e-12
 
-    negativity, min_pt = separable_ppt(bell_phi_plus)
+    negativity, min_pt = _ppt_witnesses(bell_phi_plus)
     assert min_pt < -TOL
     assert abs(negativity - 0.5) <= 1e-12
     assert abs(min_pt + 0.5) <= 1e-12
 
-    negativity, min_pt = separable_ppt(bd_compose([0.3, 0.2, 0.1]))
+    negativity, min_pt = _ppt_witnesses(bd_compose([0.3, 0.2, 0.1]))
     assert min_pt >= -TOL and negativity <= 1e-12  # inside the octahedron, |l| sum 0.6
 
 
@@ -270,12 +274,12 @@ def test_separable_ppt_octahedron_cross_check():
     checked = 0
     while checked < 300:
         lam = rng.uniform(-1, 1, 3)
-        rho = bd_compose(lam)
-        if not validate(rho).physical:
+        cls = classify(bd_compose(lam))
+        if not cls.physical:
             continue
         if abs(np.abs(lam).sum() - 1.0) <= 1e-9:
             continue
-        _, min_pt = separable_ppt(rho)
+        min_pt = cls.witnesses["min_pt_eigenvalue"]
         assert (min_pt >= -TOL) == (np.abs(lam).sum() <= 1.0)
         checked += 1
 
@@ -284,30 +288,26 @@ def test_pure_schmidt_examples(bell_phi_plus):
     ket = np.zeros(4, dtype=complex)
     ket[0] = 1.0
     rho = np.outer(ket, ket.conj())
-    purity, coeffs = pure_schmidt(rho)
+    purity = witnesses(rho)["purity"]
     assert not purity < 1.0 - TOL and schmidt_lazy(rho, TOL)
-    assert np.allclose(coeffs, [1.0, 0.0], atol=1e-9)
 
-    purity, coeffs = pure_schmidt(bell_phi_plus)
+    purity = witnesses(bell_phi_plus)["purity"]
     assert not purity < 1.0 - TOL and schmidt_lazy(bell_phi_plus, TOL)
-    assert np.allclose(coeffs, [1 / np.sqrt(2)] * 2, atol=1e-9)
 
     theta = np.pi / 8
     ket = np.zeros(4, dtype=complex)
     ket[0], ket[3] = np.cos(theta), np.sin(theta)
     rho = np.outer(ket, ket.conj())
-    purity, _ = pure_schmidt(rho)
-    assert not purity < 1.0 - TOL and not schmidt_lazy(rho, TOL)
-    norm = lazy_by_commutator(rho)
+    w = witnesses(rho)
+    assert not w["purity"] < 1.0 - TOL and not schmidt_lazy(rho, TOL)
+    norm = w["commutator_norm"]
     assert norm > TOL and norm > 0.0
 
 
 def test_pure_schmidt_mixed_state(maximally_mixed):
-    # the coefficients come back for any state; only a pure one has a
-    # Schmidt decomposition for them to belong to
-    purity, coeffs = pure_schmidt(maximally_mixed)
-    assert purity < 1.0 - TOL and purity == 0.25
-    assert np.allclose(coeffs, [1 / np.sqrt(2)] * 2, atol=1e-12)
+    cls = classify(maximally_mixed)
+    purity = cls.witnesses["purity"]
+    assert purity < 1.0 - TOL and purity == 0.25 and not cls.pure
 
 
 def test_classify_fixtures(bell_phi_plus, maximally_mixed):
@@ -393,7 +393,7 @@ def test_lazy_discordant_iff_x_zero_and_two_singular_values():
             t += 0.15 * np.outer(rng.standard_normal(3), rng.standard_normal(3))
         y = rng.uniform(-0.25, 0.25, 3)
         rho = compose(FanoParams(np.zeros(3), y, t))
-        if validate(rho).physical:
+        if classify(rho).physical:
             states.append(rho)
     from lazystates.fano import normal_form
 
@@ -485,16 +485,18 @@ def _hex(values):
 
 
 def test_classify_reads_the_bits_of_the_public_predicates():
-    # classify calls bare witness kernels, the public predicates guard the
-    # same kernels: on the corpus of test_verdicts_pinned_on_seeded_corpus
-    # both give the same bits, the sign of zero included
+    # each witness keeps the bits of the public predicate it replaced, which
+    # applied the same kernel to certify's Hermitian part (sigma_2 to
+    # [x | T] laid out by decompose), and the diagnostics are the gate's
+    # report at its fixed tolerance: on the corpus of
+    # test_verdicts_pinned_on_seeded_corpus, the sign of zero included
     rng = np.random.default_rng(2024)
     physical = 0
     for draw in CORPUS_KINDS.values():
         for _ in range(200):
             rho = draw(rng)
             cls = classify(rho)
-            report = validate(rho)
+            report = fano._gate(rho, "test", fano.STATE_TOL).report
             expected = {k: v for k, v in vars(report).items() if k != "physical"}
             assert _hex(cls.diagnostics) == _hex(expected)
             if not cls.physical:
@@ -502,22 +504,25 @@ def test_classify_reads_the_bits_of_the_public_predicates():
                 continue
             physical += 1
             herm = fano.certify(rho, "test")
+            herm_a = partial_trace_b(herm)
             p = decompose(herm)
-            negativity, min_pt_eig = separable_ppt(herm)
+            negativity, min_pt_eig = _ppt(herm)
             expected = {
-                "commutator_norm": lazy_by_commutator(rho),
-                "parallel_residual": lazy_by_parallelism(p),
+                "commutator_norm": _commutator_witness(herm, herm_a),
+                "parallel_residual": _parallel_residual(p.x, p.t),
+                "sigma_2": discord_svd(p)[0],
                 "negativity": negativity,
-                "min_eigenvalue": report.min_eigenvalue,
-                "product_residual": is_product(herm),
+                "min_pt_eigenvalue": min_pt_eig,
+                "product_residual": _product_residual(herm, herm_a),
+                "purity": _purity(herm),
             }
             assert _hex(cls.witnesses) == _hex(expected)
             # the kernel keeps the bits of the np.cross form it replaced
             cross = 0.5 * np.linalg.norm(np.cross(p.x, p.t.T))
             assert expected["parallel_residual"].hex() == cross.hex()
-            # the verdicts whose witness classify does not report
-            assert cls.zero_discord_a == (zero_discord_a(p)[0] <= TOL)
-            assert cls.pure == (not pure_schmidt(herm)[0] < 1.0 - TOL)
+            # each verdict reads its reported witness
+            assert cls.zero_discord_a == (expected["sigma_2"] <= TOL)
+            assert cls.pure == (not expected["purity"] < 1.0 - TOL)
             assert cls.separable == (min_pt_eig >= -TOL)
     assert physical == 1800
 
@@ -559,25 +564,27 @@ def test_pure_state_lazy_iff_product_or_maximally_entangled():
     assert checked == {False: 100, True: 200}
 
 
-# the error of a call that passes the tolerance a predicate no longer takes
+# the error of a call that passes a tolerance the function does not take
 NO_TOL = "takes 1 positional argument but 2 were given"
+# the error of a call that passes classify a tolerance that is not finite and > 0
+BAD_TOL = "^classify: tol must be a finite number > 0"
 
 
 def _found_zero_discord_a(bell):
-    with pytest.raises(TypeError, match=NO_TOL):
-        zero_discord_a(decompose(bell), math.nan)
-    assert zero_discord_a(decompose(bell))[0] > TOL  # discordant
+    with pytest.raises(ValueError, match=BAD_TOL):
+        classify(bell, math.nan)
+    assert classify(bell).witnesses["sigma_2"] > TOL  # discordant
 
 
 def _found_lazy_by_parallelism(bell):
-    with pytest.raises(TypeError, match=NO_TOL):
-        lazy_by_parallelism(decompose(bell), -1.0)
-    assert lazy_by_parallelism(decompose(bell)) <= TOL  # lazy
+    with pytest.raises(ValueError, match=BAD_TOL):
+        classify(bell, -1.0)
+    assert classify(bell).witnesses["parallel_residual"] <= TOL  # lazy
 
 
 def _found_pure_schmidt(bell):
-    with pytest.raises(TypeError, match=NO_TOL):
-        pure_schmidt(bell, math.nan)
+    with pytest.raises(ValueError, match=BAD_TOL):
+        classify(bell, math.nan)
     assert classify(bell).lazy_a and schmidt_lazy(bell, TOL)
 
 
@@ -591,19 +598,21 @@ def _found_separable_classify(bell):
 
 def _found_is_product(bell):
     with pytest.raises(ValueError) as exc:
-        is_product(np.full((4, 4), math.nan))
-    assert str(exc.value) == "is_product: input has non-finite entries"
+        classify(np.full((4, 4), math.nan))
+    assert str(exc.value) == "classify: input has non-finite entries"
 
 
 def _found_separable_ppt(bell):
-    with pytest.raises(TypeError, match=NO_TOL):
-        separable_ppt(np.eye(4) / 4, -1.0)
-    assert separable_ppt(np.eye(4) / 4)[1] >= -TOL  # separable
+    with pytest.raises(ValueError, match=BAD_TOL):
+        classify(np.eye(4) / 4, -1.0)
+    assert classify(np.eye(4) / 4).witnesses["min_pt_eigenvalue"] >= -TOL  # separable
 
 
-# each call answered wrongly while the predicates took a tol: it now either
-# cannot be written or raises ValueError naming its function, and the state
-# gets the right answer
+# each call answered wrongly while the predicates took a tol.  A function
+# that still exists cannot be written with one; each of the others is gone,
+# its verdict and witness now come from classify alone, which raises
+# ValueError naming itself on a bad tol or input, and the state gets the
+# right answer
 @pytest.mark.parametrize(
     "check",
     [
@@ -618,12 +627,3 @@ def _found_separable_ppt(bell):
 )
 def test_formerly_wrong_predicate_calls(check, bell_phi_plus):
     check(bell_phi_plus)
-
-
-def test_separable_ppt_keeps_the_hermiticity_guard():
-    # a matrix a caller passes meets the state gate's Hermiticity row before
-    # its partial transpose is eigensolved
-    rho = np.eye(4, dtype=complex) / 4.0
-    rho[0, 3] = 0.1
-    with pytest.raises(ValueError, match="^separable_ppt: unphysical state"):
-        separable_ppt(rho)

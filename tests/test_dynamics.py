@@ -9,6 +9,7 @@ import pytest
 
 from lazystates import dynamics
 from lazystates.belldiag import bd_compose
+from lazystates.classify import classify
 from lazystates.dynamics import (
     _CHUNK,
     COMM_GRAY_ZONE,
@@ -171,15 +172,13 @@ def test_commutator_norm_predicts_rate_sign():
     # 500 states x 20 couplings: the commutator norm crossing 1e-9 predicts
     # the max sampled rate crossing 1e-4; the band between is logged, not failed
     rng = np.random.default_rng(37)
-    from lazystates.classify import lazy_by_commutator
-
     gray_lo, gray_hi = 1e-9, 1e-4
     states = [ginibre_state(rng) for _ in range(350)]
     states += [random_product_state(rng) for _ in range(100)]
     states += [bd_compose(np.random.default_rng(38).uniform(-0.4, 0.4, 3)) for _ in range(50)]
     gray_logged = 0
     for rho in states:
-        comm = lazy_by_commutator(rho)
+        comm = classify(rho).witnesses["commutator_norm"]
         # the couplings of seeds 500-519
         max_rate = laziness_dynamics_check(rho, 20, seed=500).max_abs_rate
         if gray_lo <= comm <= gray_hi:

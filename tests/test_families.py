@@ -3,19 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from lazystates.classify import DEFAULT_TOL as TOL, classify, separable_ppt
+from lazystates.classify import DEFAULT_TOL as TOL, classify
 from lazystates.families import (
     LazyDiscordantParams,
     SeparableFamilyParams,
     check_lazy_discordant,
     lazy_discordant_compose,
-    lazy_discordant_spectrum,
     separable_classify,
     separable_compose,
-    separable_fano,
 )
 from lazystates.fano import decompose
 from lazystates.matcore import frob_norm, partial_trace_b
+from oracles import lazy_discordant_spectrum, separable_fano
 from sampling import random_separable_params
 
 # expected spectrum of the (0.5, 0.3, 0.4) state: (1 ± sqrt(0.74))/4 and
@@ -114,8 +113,8 @@ def test_separable_compose_always_separable():
     rng = np.random.default_rng(19)
     for _ in range(100):
         rho = separable_compose(random_separable_params(rng))
-        negativity, min_pt = separable_ppt(rho)
-        assert min_pt >= -TOL and negativity <= 1e-12
+        w = classify(rho).witnesses
+        assert w["min_pt_eigenvalue"] >= -TOL and w["negativity"] <= 1e-12
 
 
 @pytest.mark.parametrize(

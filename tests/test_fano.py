@@ -8,15 +8,9 @@ import numpy as np
 import pytest
 
 from lazystates.belldiag import bd_region
-from lazystates.classify import (
-    classify,
-    is_product,
-    lazy_by_commutator,
-    pure_schmidt,
-    separable_ppt,
-)
+from lazystates.classify import classify
 from lazystates.dynamics import laziness_dynamics_check
-from lazystates.fano import FanoParams, certify, compose, decompose, normal_form, validate
+from lazystates.fano import FanoParams, certify, compose, decompose, normal_form
 from lazystates.matcore import (
     I2,
     PAULIS,
@@ -103,43 +97,47 @@ def test_round_trip_1000_random_states():
 
 
 def test_validate_examples(maximally_mixed):
-    assert validate(maximally_mixed).physical
+    # the gate's report, as classify returns it in diagnostics
+    assert classify(maximally_mixed).physical
     # lam = (1,1,1) has eigenvalue (1-3)/4 = -1/2
-    rho = compose(FanoParams(np.zeros(3), np.zeros(3), np.eye(3)))
-    rep = validate(rho)
-    assert not rep.physical
-    assert abs(rep.min_eigenvalue + 0.5) <= 1e-12
+    cls = classify(compose(FanoParams(np.zeros(3), np.zeros(3), np.eye(3))))
+    assert not cls.physical
+    assert abs(cls.diagnostics["min_eigenvalue"] + 0.5) <= 1e-12
     # lam = (1,1,-1) is a pure vertex with spectrum (0,0,1,0)
-    rho = compose(FanoParams(np.zeros(3), np.zeros(3), np.diag([1.0, 1.0, -1.0])))
-    rep = validate(rho)
-    assert rep.physical
-    assert abs(np.einsum("ij,ji->", rho, rho).real - 1.0) <= 1e-12
+    cls = classify(compose(FanoParams(np.zeros(3), np.zeros(3), np.diag([1.0, 1.0, -1.0]))))
+    assert cls.physical
+    assert abs(cls.witnesses["purity"] - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("entry", [1e200, 1.7e308])
 def test_validate_reports_an_overflowing_state_unphysical(entry):
-    # the norm overflows (and at 1.7e308 so does rho + rho†), yet validate
+    # the norm overflows (and at 1.7e308 so does rho + rho†), yet classify
     # reports the minimum eigenvalue -entry of the Hermitian matrix, silently
     rho = np.eye(4, dtype=complex) / 4.0
     rho[0, 1] = rho[1, 0] = entry
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = validate(rho)
-    assert not rep.physical
-    assert rep.min_eigenvalue == pytest.approx(-entry, rel=1e-12)
+        cls = classify(rho)
+    assert not cls.physical
+    assert cls.diagnostics["min_eigenvalue"] == pytest.approx(-entry, rel=1e-12)
 
 
 # every public entry that takes a 4x4 state, called as its callers do
 GATED_ENTRIES = {
-    "validate": validate,
     "decompose": decompose,
     "certify": lambda rho: certify(rho, "certify"),
     "classify": classify,
-    "lazy_by_commutator": lazy_by_commutator,
-    "is_product": is_product,
-    "separable_ppt": separable_ppt,
-    "pure_schmidt": pure_schmidt,
     "laziness_dynamics_check": lambda rho: laziness_dynamics_check(rho, 2),
+}
+# the functions that classify replaced keep their rows: classify answers
+# each, and its report holds what the function returned (validate's report
+# is classify's diagnostics)
+REPLACED_BY_CLASSIFY = {
+    "validate": None,
+    "lazy_by_commutator": "commutator_norm",
+    "is_product": "product_residual",
+    "separable_ppt": "min_pt_eigenvalue",
+    "pure_schmidt": "purity",
 }
 
 
@@ -168,29 +166,33 @@ UNPHYSICAL = {
 
 
 @pytest.mark.parametrize("kind", ["3x3", "nan", "inf", "1e200", "anti_hermitian", "trace_1.1"])
-@pytest.mark.parametrize("entry", list(GATED_ENTRIES))
+@pytest.mark.parametrize("entry", list(GATED_ENTRIES) + list(REPLACED_BY_CLASSIFY))
 def test_every_entry_judges_a_malformed_state_by_one_gate(entry, kind):
     rho = _malformed(kind)
-    if kind in UNPHYSICAL and entry in ("validate", "classify"):
-        # these two report an unphysical state rather than raise
-        result = GATED_ENTRIES[entry](rho)
-        report = vars(result) if entry == "validate" else result.diagnostics
-        assert not result.physical
+    who = "classify" if entry in REPLACED_BY_CLASSIFY else entry
+    if kind in UNPHYSICAL and who == "classify":
+        # classify reports an unphysical state, with no witness, rather than raise
+        cls = classify(rho)
+        report = cls.diagnostics
+        assert not cls.physical
         assert (
             f"{report['min_eigenvalue']:.3e}", f"{report['trace_deviation']:.3e}"
         ) == UNPHYSICAL[kind][:2]
+        key = REPLACED_BY_CLASSIFY.get(entry)
+        if key is not None:
+            assert cls.witnesses[key] is None
         return
     if kind == "3x3":
         message = "expected a 4x4 matrix, got shape (3, 3)"
     elif kind in ("nan", "inf"):
-        message = f"{entry}: input has non-finite entries"
-    elif entry == "decompose":
+        message = f"{who}: input has non-finite entries"
+    elif who == "decompose":
         message = f"decompose: {UNPHYSICAL[kind][2]}"
     else:
         min_eig, tdev, _ = UNPHYSICAL[kind]
-        message = f"{entry}: unphysical state (min eigenvalue {min_eig}, trace deviation {tdev})"
+        message = f"{who}: unphysical state (min eigenvalue {min_eig}, trace deviation {tdev})"
     with pytest.raises(ValueError) as exc:
-        GATED_ENTRIES[entry](rho)
+        GATED_ENTRIES[who](rho)
     assert type(exc.value) is ValueError
     assert str(exc.value) == message
 
@@ -216,8 +218,8 @@ def test_library_calls_reject_a_tolerance_that_is_not_finite_and_positive(bell_p
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("field", ["x", "y", "t"])
 def test_fano_params_rejects_non_finite_entries(field, bad):
-    # the one check that zero_discord_a, lazy_by_parallelism, normal_form
-    # and compose rely on: no parameter set they take holds a NaN or inf
+    # the one check that normal_form and compose rely on: no parameter set
+    # they take holds a NaN or inf
     parts = {"x": np.zeros(3), "y": np.zeros(3), "t": np.eye(3)}
     parts[field].flat[1] = bad
     with pytest.raises(ValueError) as exc:
@@ -227,7 +229,7 @@ def test_fano_params_rejects_non_finite_entries(field, bad):
 
 @pytest.mark.parametrize("field", ["x", "y", "t"])
 def test_fano_params_store_read_only_copies(field, bell_phi_plus):
-    # a NaN written into decompose's t once reached zero_discord_a's SVD
+    # a NaN written into decompose's t once reached the zero-discord SVD
     with pytest.raises(ValueError):
         getattr(decompose(bell_phi_plus), field)[0] = math.nan
     parts = {"x": np.zeros(3), "y": np.zeros(3), "t": np.eye(3)}

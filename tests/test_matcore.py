@@ -16,10 +16,10 @@ from lazystates.matcore import (
     partial_trace_a,
     partial_trace_b,
     partial_transpose_b,
-    qubit_spectrum,
     svd3,
     swap_subsystems,
 )
+from oracles import qubit_spectrum
 from sampling import ginibre_state, random_hermitian
 
 

@@ -1,7 +1,7 @@
 """Which public functions of the package take a tolerance.
 
-Each predicate returns its witnesses and classify alone compares them with
-tol, so a tolerance parameter anywhere else would be a second copy of a
+classify reports one witness per verdict and alone compares each with tol,
+so a tolerance parameter anywhere else would be a second copy of a
 threshold rule.  This walks every public function of every lazystates
 module with inspect.signature, in the spirit of test_imports.py.
 """
