@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .matcore import PAULIS, InvalidArgument, _require_tol, kron
+from .fano import FanoParams, compose
+from .matcore import InvalidArgument, _require_tol
 
 BOUNDARY_TOL = 1e-9
 
@@ -29,10 +30,6 @@ REGION_LABELS = (
     "zero_discord",
     "lazy_separable_discordant",
     "lazy_entangled",
-)
-
-TETRA_VERTICES = np.array(
-    [[-1.0, -1.0, -1.0], [-1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]]
 )
 
 # fixed census block size; samples are generated per (seed, block index), so
@@ -68,12 +65,9 @@ class SliceGrid:
 
 
 def bd_compose(lam):
-    """Bell-diagonal state (I@I + sum_i lam_i s_i@s_i) / 4."""
-    lam = np.asarray(lam, dtype=float).reshape(3)
-    rho = np.eye(4, dtype=complex)
-    for i in range(3):
-        rho = rho + lam[i] * kron(PAULIS[i], PAULIS[i])
-    return rho / 4.0
+    """Bell-diagonal state (I@I + sum_i lam_i s_i@s_i) / 4, composed from T = diag(lam)."""
+    t = np.diag(np.asarray(lam, dtype=float).reshape(3))
+    return compose(FanoParams(x=np.zeros(3), y=np.zeros(3), t=t))
 
 
 def _label_points(lam, tol):
@@ -127,9 +121,13 @@ def _label_chunk(lam, tol, codes, boundary):
 
 
 def bd_region(lam, tol: float = BOUNDARY_TOL) -> str:
-    """Region label of one cube point; tol must be finite and > 0."""
+    """Region label of one point of the cube [-1, 1]^3; tol must be finite and > 0."""
     _require_tol(tol, "bd_region", "tol")
-    codes, _ = _label_points(np.asarray(lam, dtype=float).reshape(1, 3), tol)
+    lam = np.asarray(lam, dtype=float).reshape(1, 3)
+    # the negated test rejects NaN as well as points outside the cube
+    if not ((-1.0 <= lam) & (lam <= 1.0)).all():
+        raise InvalidArgument(f"bd_region: lam must lie in [-1, 1]^3 (got {lam[0].tolist()})")
+    codes, _ = _label_points(lam, tol)
     return REGION_LABELS[codes[0]]
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fano import FanoParams, compose
 from .matcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, kron
 
 
@@ -66,13 +67,8 @@ def check_lazy_discordant(q: LazyDiscordantParams) -> None:
 def lazy_discordant_compose(q: LazyDiscordantParams):
     """Compose the lazy-but-discordant state; rejects invalid parameters."""
     check_lazy_discordant(q)
-    rho = (
-        np.eye(4, dtype=complex)
-        + q.y1 * kron(I2, SIGMA_X)
-        + q.lambda2 * kron(SIGMA_Y, SIGMA_Y)
-        + q.lambda3 * kron(SIGMA_Z, SIGMA_Z)
-    )
-    return rho / 4.0
+    t = np.diag([0.0, q.lambda2, q.lambda3])
+    return compose(FanoParams(x=np.zeros(3), y=[q.y1, 0.0, 0.0], t=t))
 
 
 def check_separable_params(s: SeparableFamilyParams) -> None:

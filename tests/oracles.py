@@ -15,6 +15,11 @@ from lazystates.matcore import (
     partial_trace_b,
 )
 
+# the four pure Bell states, the vertices of the physical tetrahedron
+TETRA_VERTICES = np.array(
+    [[-1.0, -1.0, -1.0], [-1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]]
+)
+
 
 def qubit_spectrum(m):
     """Eigenvalues ((1 - |x|)/2, (1 + |x|)/2) of a qubit state m = (I + x.s)/2.

@@ -6,7 +6,6 @@ Run under pytest, or standalone for the line-per-criterion report:
 """
 
 import math
-import subprocess
 import sys
 import time
 from functools import lru_cache
@@ -32,6 +31,7 @@ from oracles import (
     pinch_residual,
     separable_fano,
 )
+from runners import run_process
 from sampling import (
     ginibre_state,
     random_bell_diagonal_point,
@@ -356,30 +356,24 @@ def test_criterion_8_local_unitary_invariance():
     )
 
 
-def _run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "lazystates", *args], capture_output=True, text=True
-    )
-
-
 def test_criterion_9_cli_golden_and_exit_codes():
     fixtures = HERE / "fixtures"
     golden = HERE / "golden"
 
-    out = _run_cli("classify", str(fixtures / "bell.json"))
+    out = run_process("classify", str(fixtures / "bell.json"))
     golden_ok = out.returncode == 0 and out.stdout == (golden / "classify_bell.txt").read_text()
 
-    census_a = _run_cli("bd", "census", "--samples", "50000", "--seed", "7")
-    census_b = _run_cli("bd", "census", "--samples", "50000", "--seed", "7")
+    census_a = run_process("bd", "census", "--samples", "50000", "--seed", "7")
+    census_b = run_process("bd", "census", "--samples", "50000", "--seed", "7")
     census_ok = (
         census_a.stdout == census_b.stdout
         and census_a.stdout == (golden / "census_s7_n50000.csv").read_text()
     )
 
-    code0 = _run_cli("classify", str(fixtures / "maximally_mixed.json")).returncode
-    code1 = _run_cli("classify", str(fixtures / "trace_low.json")).returncode
-    code2 = _run_cli("classify", str(fixtures / "not_json.json")).returncode
-    code3 = _run_cli(
+    code0 = run_process("classify", str(fixtures / "maximally_mixed.json")).returncode
+    code1 = run_process("classify", str(fixtures / "trace_low.json")).returncode
+    code2 = run_process("classify", str(fixtures / "not_json.json")).returncode
+    code3 = run_process(
         "dynamics-check", str(fixtures / "generic_nonlazy.json"),
         "--hamiltonians", "3", "--seed", "1", "--nonzero-tol", "1e9",
     ).returncode

@@ -6,7 +6,6 @@ from lazystates.belldiag import (
     BOUNDARY_TOL,
     MAX_WORKERS,
     REGION_LABELS,
-    TETRA_VERTICES,
     _CENSUS_BLOCK,
     _LABEL_CHUNK,
     _label_points,
@@ -20,7 +19,7 @@ from lazystates.belldiag import (
 from lazystates.classify import classify
 from lazystates.fano import decompose
 from lazystates.matcore import InvalidArgument
-from oracles import bd_spectrum
+from oracles import TETRA_VERTICES, bd_spectrum
 
 
 def test_bd_compose_examples(bell_phi_plus, maximally_mixed):
@@ -74,6 +73,23 @@ def test_bd_spectrum_matches_eigensolver():
 )
 def test_bd_region_examples(lam, label):
     assert bd_region(lam) == label
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [
+        (np.nan, 0.0, 0.0),
+        (0.5, np.nan, 0.2),
+        (np.inf, 0.0, 0.0),
+        (0.0, -np.inf, 0.0),
+        (0.0, 0.0, 1.5),
+        (-1.0 - 2.0**-52, 0.0, 0.0),
+    ],
+)
+def test_bd_region_rejects_a_point_off_the_cube(lam):
+    # a NaN is rejected, not classified: no comparison with it holds
+    with pytest.raises(InvalidArgument, match=r"^bd_region: lam must lie in \[-1, 1\]\^3"):
+        bd_region(lam)
 
 
 def _label_points_rowwise(lam, tol):

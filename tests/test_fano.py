@@ -19,6 +19,7 @@ from lazystates.matcore import (
     kron,
 )
 from oracles import numpy_on_openblas_x86_64
+from runners import run_process
 from sampling import ginibre_state, random_product_state
 
 
@@ -358,10 +359,9 @@ def test_classify_goldens_hold_under_the_prescott_kernel(state):
     # for zero discord) or a closed form; the goldens were recorded under
     # SkylakeX, whose kernels round differently from Prescott's
     here = os.path.dirname(os.path.abspath(__file__))
-    result = subprocess.run(
-        [sys.executable, "-m", "lazystates", "classify",
-         os.path.join(here, "fixtures", f"{state}.json")],
-        capture_output=True, text=True, env={**os.environ, "OPENBLAS_CORETYPE": "Prescott"},
+    result = run_process(
+        "classify", os.path.join(here, "fixtures", f"{state}.json"),
+        env={**os.environ, "OPENBLAS_CORETYPE": "Prescott"},
     )
     assert result.returncode == 0, result.stderr
     with open(os.path.join(here, "golden", f"classify_{state}.txt")) as golden:

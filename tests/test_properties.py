@@ -11,8 +11,6 @@ can change which examples these tests draw.  CI pins the version for that
 reason.
 """
 
-import contextlib
-import io
 import json
 import math
 
@@ -27,6 +25,7 @@ from lazystates.classify import classify
 from lazystates.families import lazy_discordant_compose
 from lazystates.matcore import kron
 from lazystates.stateio import state_from_dict
+from runners import run_cli
 from sampling import (
     ginibre_state,
     random_bell_diagonal_point,
@@ -135,17 +134,6 @@ def cli_argv(draw, state_path, out_paths):
     return argv + out
 
 
-def _run_main(argv):
-    """(exit code, stderr text) of one in-process command."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
-    return code, err.getvalue()
-
-
 # a numpy warning on stderr would break the one-line message promise
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture],
@@ -158,13 +146,13 @@ def test_cli_exits_with_a_documented_code(monkeypatch, tmp_path, doc, data):
     monkeypatch.setattr(cli, "load_state_file", lambda path: state_from_dict(json.loads(text)))
     # --out: a writable file, a file in a missing directory, a directory
     out_paths = [str(tmp_path / "out.json"), str(tmp_path / "missing" / "x.json"), str(tmp_path)]
-    code, err = _run_main(data.draw(cli_argv("state.json", out_paths)))
-    assert code in (0, 1, 2, 3)
+    result = run_cli(*data.draw(cli_argv("state.json", out_paths)))
+    assert result.returncode in (0, 1, 2, 3)
     # success is silent on stderr, and every failure says why in one line
-    if code == 0:
-        assert err == ""
+    if result.returncode == 0:
+        assert result.stderr == ""
     else:
-        assert len(err.splitlines()) == 1
+        assert len(result.stderr.splitlines()) == 1
 
 
 def _qubit_unitary(theta, phi, lam):
