@@ -121,8 +121,8 @@ def _label_chunk(lam, tol, codes, boundary):
 
 
 def bd_region(lam, tol: float = BOUNDARY_TOL) -> str:
-    """Region label of one point of the cube [-1, 1]^3; tol must be finite and > 0."""
-    _require_tol(tol, "bd_region", "tol")
+    """Region label of one point of the cube [-1, 1]^3; tol must lie in (0, 1)."""
+    _require_tol(tol, "bd_region", "tol", 1.0)
     lam = np.asarray(lam, dtype=float).reshape(1, 3)
     # the negated test rejects NaN as well as points outside the cube
     if not ((-1.0 <= lam) & (lam <= 1.0)).all():

@@ -8,9 +8,13 @@ Both routes measure one number, ||[rho, rho_A @ I]||_F = 0.5 * sqrt(sum_j
 must agree to rounding, which keeps the equivalence under continuous test.
 Physicality is decided once, by fano's state gate at the caller's tol,
 and classify passes the state's Hermitian part unchecked to each witness's
-one kernel.  Zero discord is the rank of [x | T], read off one LAPACK SVD;
-separability is positivity of the partial transpose, exact for two qubits.
-classify reports one witness per verdict and alone compares them with tol.
+one kernel.  Witnesses with a closed form in the 16 Fano numbers c[i, j] =
+tr(rho s_i@s_j), s_0 = I, are read off them, for any trace and without
+BLAS: purity sum c_ij^2 / 4, the product residual 0.5 * sqrt(sum_ij (c_ij -
+c_i0 c_0j)^2).  Zero discord is the rank of [x | T], read off one LAPACK
+SVD; separability is positivity of the partial transpose, exact for two
+qubits.  classify reports one witness per verdict and alone compares them
+with tol.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .matcore import (
     commutator,
     frob_norm,
     kron,
-    partial_trace_a,
     partial_trace_b,
     partial_transpose_b,
 )
@@ -96,8 +99,11 @@ def _discord_svd(m):
     return float(s[1]), u[:, 0]
 
 
-def _product_residual(rho, rho_a) -> float:
-    return frob_norm(rho - kron(rho_a, partial_trace_a(rho)))
+def _product_residual(c) -> float:
+    # rho - rho_A@rho_B = sum_ij (c_ij - c_i0 c_0j) s_i@s_j / 4, and the 16
+    # products s_i@s_j are orthogonal with squared norm 4
+    d = c - c[:, :1] * c[:1, :]
+    return 0.5 * float(np.sqrt(np.einsum("ij,ij->", d, d)))
 
 
 def _ppt(herm):
@@ -106,33 +112,32 @@ def _ppt(herm):
     return float(np.abs(w[w < 0.0]).sum()), float(w[0])
 
 
-def _purity(rho) -> float:
-    return float(np.einsum("ij,ji->", rho, rho).real)
+def _purity(c) -> float:
+    # tr rho^2 = sum_ij c_ij^2 / 4, by the same orthogonality
+    return float(np.einsum("ij,ij->", c, c)) / 4.0
 
 
 def classify(rho, tol: float = DEFAULT_TOL) -> Classification:
     """Every hierarchy verdict of one state, each with its one witness.
 
-    fano's state gate runs once: a tol that is not finite and > 0, a shape
-    other than 4x4 or a non-finite entry raises ValueError, and unphysical
-    input yields physical=False with the other verdicts absent and every
-    witness None.  diagnostics holds the gate's report.  Every verdict
-    compares its witness with tol, absolute: lazy_a (commutator_norm, the
-    defining quantity), product (product_residual) and zero_discord_a
-    (sigma_2 of [x | T]) pass at <= tol, separable at min_pt_eigenvalue
-    >= -tol, pure unless purity tr(rho^2) < 1 - tol.  negativity sums the
-    magnitudes of the negative partial-transpose eigenvalues.
+    fano's state gate runs once: a tol outside (0, 1), a shape other than
+    4x4 or a non-finite entry raises ValueError, and unphysical input
+    yields physical=False with the other verdicts absent and every witness
+    None.  diagnostics holds the gate's report.  Every verdict compares its
+    witness with tol, absolute: lazy_a (commutator_norm, the defining
+    quantity), product (product_residual) and zero_discord_a (sigma_2 of
+    [x | T]) pass at <= tol, separable at min_pt_eigenvalue >= -tol, pure
+    unless purity tr(rho^2) < 1 - tol.  negativity sums the magnitudes of
+    the negative partial-transpose eigenvalues.
     parallel_residual is the second laziness route: it must agree with
     commutator_norm to rounding, or ConsistencyError is raised, and
     lazy_gray_zone flags the rounding case where the two fall on either
     side of tol.
     """
     g = _gate(rho, "classify", tol)
-    rep = g.report
-    diagnostics = {key: value for key, value in vars(rep).items() if key != "physical"}
-    if not rep.physical:
+    if not g.physical:
         return Classification(
-            physical=False, witnesses=dict.fromkeys(WITNESS_KEYS), diagnostics=diagnostics
+            physical=False, witnesses=dict.fromkeys(WITNESS_KEYS), diagnostics=g.diagnostics
         )
 
     rho = g.herm
@@ -146,9 +151,9 @@ def classify(rho, tol: float = DEFAULT_TOL) -> Classification:
             f"{comm_norm:.3e}, parallelism residual {residual:.3e}"
         )
     sigma_2, _ = _discord_svd(c[1:])
-    product_residual = _product_residual(rho, rho_a)
+    product_residual = _product_residual(c)
     negativity, min_pt_eig = _ppt(rho)
-    purity = _purity(rho)
+    purity = _purity(c)
     witnesses = {
         "commutator_norm": comm_norm,
         "parallel_residual": residual,
@@ -168,6 +173,6 @@ def classify(rho, tol: float = DEFAULT_TOL) -> Classification:
         lazy_a=lazy_c,
         separable=min_pt_eig >= -tol,
         witnesses=witnesses,
-        diagnostics=diagnostics,
+        diagnostics=g.diagnostics,
         lazy_gray_zone=lazy_c != (residual <= tol),
     )

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import DEFAULT_TOL, _commutator_witness, _purity
+from .classify import DEFAULT_TOL, _commutator_witness
 from .fano import certify
 from .matcore import InvalidArgument, _require_tol, partial_trace_b
 
@@ -171,5 +171,5 @@ def laziness_dynamics_check(
         consistent=consistent,
         gray_zone=gray,
         # a marginal pure to 1e-12 leaves the entropy derivative ill conditioned
-        caution=_purity(rho_a) >= 1.0 - 1e-12,
+        caution=float(np.einsum("ij,ji->", rho_a, rho_a).real) >= 1.0 - 1e-12,
     )

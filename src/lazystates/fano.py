@@ -81,32 +81,26 @@ class NormalForm:
     o_b: np.ndarray
 
 
-@dataclass(frozen=True)
-class PhysicalityReport:
-    physical: bool
-    hermiticity_residual: float
-    trace_deviation: float
-    min_eigenvalue: float
-
-
 class _Gated(NamedTuple):
     rho: np.ndarray  # the input as a complex array
     herm: np.ndarray  # its Hermitian part (rho + rho†)/2
     overflow: bool  # ||rho||_F overflows to inf
     hermitian: bool  # matcore's overflow-safe Hermiticity rule at tol
-    report: PhysicalityReport
+    physical: bool  # hermitian, and the trace and positivity rows pass at tol
+    diagnostics: dict  # the three rows' numbers, as classify reports them
 
 
 def _gate(rho, who: str, tol: float) -> _Gated:
     """Judge one 4x4 input; every entry point that takes a state calls this.
 
     Raises ValueError, naming `who` unless the shape is wrong, for a tol
-    that is not finite and > 0, a shape other than 4x4 or a non-finite
-    entry.  Entries beyond about 1e154 overflow ||rho||_F; such a matrix is
-    never Hermitian, and herm is then formed from rho * 2^-600, exact for
-    every entry above about 1e-128, which set the minimum eigenvalue.
+    outside (0, 1), a shape other than 4x4 or a non-finite entry: a tol of
+    1 or more cannot tell a trace of 0 from a trace of 1.  Entries beyond
+    about 1e154 overflow ||rho||_F; such a matrix is never Hermitian, and
+    herm is then formed from rho * 2^-600, exact for every entry above
+    about 1e-128, which set the minimum eigenvalue.
     """
-    _require_tol(tol, who, "tol")
+    _require_tol(tol, who, "tol", 1.0)
     rho = _as_4x4(rho)
     _require_finite(rho, who)
     hres, norm, hermitian = _hermiticity(rho, tol)
@@ -118,8 +112,8 @@ def _gate(rho, who: str, tol: float) -> _Gated:
     min_eig = float(np.linalg.eigh(herm)[0][0]) / scale
     tdev = float(abs(np.trace(rho) - 1.0))
     physical = hermitian and tdev <= tol and min_eig >= -tol
-    report = PhysicalityReport(physical, hres, tdev, min_eig)
-    return _Gated(rho, herm, scale != 1.0, hermitian, report)
+    diagnostics = dict(hermiticity_residual=hres, trace_deviation=tdev, min_eigenvalue=min_eig)
+    return _Gated(rho, herm, scale != 1.0, hermitian, physical, diagnostics)
 
 
 def _coeffs(m):
@@ -133,7 +127,7 @@ def _decomposed(g: _Gated) -> FanoParams:
         raise ValueError("decompose: matrix too large, its norm overflows")
     if not g.hermitian:
         raise ValueError(f"decompose: matrix is not Hermitian within {STATE_TOL:g}")
-    if g.report.trace_deviation > STATE_TOL:
+    if g.diagnostics["trace_deviation"] > STATE_TOL:
         raise ValueError(f"decompose: matrix trace deviates from 1 beyond {STATE_TOL:g}")
     c = _coeffs(g.rho)
     return FanoParams(x=c[1:, 0], y=c[0, 1:], t=c[1:, 1:])
@@ -160,10 +154,11 @@ def compose(p: FanoParams):
 
 def _certified(g: _Gated, who: str):
     """certify's answer from a gate result."""
-    if not g.report.physical:
+    if not g.physical:
+        d = g.diagnostics
         raise ValueError(
-            f"{who}: unphysical state (min eigenvalue {g.report.min_eigenvalue:.3e}, "
-            f"trace deviation {g.report.trace_deviation:.3e})"
+            f"{who}: unphysical state (min eigenvalue {d['min_eigenvalue']:.3e}, "
+            f"trace deviation {d['trace_deviation']:.3e})"
         )
     return g.herm
 

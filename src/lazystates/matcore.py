@@ -13,6 +13,8 @@ singular vectors are not unique, and normal-form output pins the choice.
 svd3 makes that choice in CPython float arithmetic with math.sqrt and
 math.hypot, calling neither BLAS nor LAPACK, so it is the same whichever
 kernel OpenBLAS picks at run time; it raises ValueError on non-finite input.
+Only the second qubit is traced out here: classify reads purity and the
+product residual off the Fano coefficients instead.
 """
 
 from __future__ import annotations
@@ -79,11 +81,6 @@ def partial_trace_b(m):
     return np.einsum("ikjk->ij", _as_4x4(m).reshape(2, 2, 2, 2))
 
 
-def partial_trace_a(m):
-    """Trace out the first qubit: out[k,l] = sum_i m[(i,k),(i,l)]."""
-    return np.einsum("ikil->kl", _as_4x4(m).reshape(2, 2, 2, 2))
-
-
 def partial_transpose_b(m):
     """Transpose the second-qubit indices; involutive, Hermiticity-preserving."""
     return _as_4x4(m).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
@@ -106,9 +103,11 @@ class InvalidArgument(ValueError):
     each library entry raises it before it reads a state or starts work."""
 
 
-def _require_tol(value, who, name):
-    if not 0.0 < value < math.inf:
-        raise InvalidArgument(f"{who}: {name} must be a finite number > 0 (got {value!r})")
+def _require_tol(value, who, name, below=math.inf):
+    # a state tolerance >= 1 cannot tell a trace, eigenvalue or lambda 0 from 1
+    if not 0.0 < value < below:
+        rule = "be a finite number > 0" if below == math.inf else f"lie in (0, {below:g})"
+        raise InvalidArgument(f"{who}: {name} must {rule} (got {value!r})")
 
 
 def dot3(a, b) -> float:

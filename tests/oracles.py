@@ -21,6 +21,22 @@ TETRA_VERTICES = np.array(
 )
 
 
+def partial_trace_a(m):
+    """Trace out the first qubit: out[k,l] = sum_i m[(i,k),(i,l)]."""
+    return np.einsum("ikil->kl", np.asarray(m).reshape(2, 2, 2, 2))
+
+
+def product_residual_reference(rho):
+    """||rho - rho_A@rho_B||_F from the 4x4 matrices: the marginals by
+    partial traces, their Kronecker product, the norm of the difference."""
+    return frob_norm(rho - kron(partial_trace_b(rho), partial_trace_a(rho)))
+
+
+def purity_reference(rho):
+    """tr rho^2 as the 4x4 product's trace."""
+    return float(np.einsum("ij,ji->", rho, rho).real)
+
+
 def qubit_spectrum(m):
     """Eigenvalues ((1 - |x|)/2, (1 + |x|)/2) of a qubit state m = (I + x.s)/2.
 

@@ -2,6 +2,7 @@ import hashlib
 import math
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,13 @@ from lazystates.classify import (
 from lazystates.families import SeparableFamilyParams, separable_classify, separable_compose
 from lazystates.fano import FanoParams, compose, decompose
 from lazystates.matcore import I2, PAULIS, kron, partial_trace_b, swap_subsystems
-from oracles import pinch_residual, schmidt_lazy
+from lazystates.stateio import load_state_file
+from oracles import (
+    pinch_residual,
+    product_residual_reference,
+    purity_reference,
+    schmidt_lazy,
+)
 from sampling import (
     ginibre_state,
     haar_unitary,
@@ -38,6 +45,7 @@ from lazystates.belldiag import bd_compose
 from lazystates.families import lazy_discordant_compose
 
 
+FIXTURES = Path(__file__).parent / "fixtures"
 NOT_LAZY_WITNESS = SeparableFamilyParams(0.5, np.pi / 2, np.pi / 2, 0.0, 1.0)
 
 
@@ -60,6 +68,7 @@ def test_lazy_by_commutator_examples(bell_phi_plus, maximally_mixed):
     norm = witnesses(maximally_mixed)["commutator_norm"]
     assert norm <= TOL and norm == 0.0
     assert witnesses(bell_phi_plus)["commutator_norm"] <= TOL
+    assert witnesses(bell_phi_plus)["parallel_residual"] <= TOL
     norm = witnesses(separable_compose(NOT_LAZY_WITNESS))["commutator_norm"]
     assert norm > TOL
     assert norm > 0.01
@@ -484,11 +493,23 @@ def _hex(values):
     return {key: float(value).hex() for key, value in values.items()}
 
 
+def _assert_closed_forms_match_the_matrix_route(cls, herm):
+    # product_residual and purity are the closed forms in the Fano
+    # coefficients of the Hermitian part, and agree with the 4x4 products
+    # they replaced to rounding
+    c = fano._coeffs(herm)
+    assert cls.witnesses["product_residual"].hex() == _product_residual(c).hex()
+    assert cls.witnesses["purity"].hex() == _purity(c).hex()
+    assert abs(cls.witnesses["product_residual"] - product_residual_reference(herm)) <= 1e-15
+    assert abs(cls.witnesses["purity"] - purity_reference(herm)) <= 1e-15
+
+
 def test_classify_reads_the_bits_of_the_public_predicates():
     # each witness keeps the bits of the public predicate it replaced, which
     # applied the same kernel to certify's Hermitian part (sigma_2 to
-    # [x | T] laid out by decompose), and the diagnostics are the gate's
-    # report at its fixed tolerance: on the corpus of
+    # [x | T] laid out by decompose), product_residual and purity are the
+    # closed forms in its Fano coefficients, and the diagnostics are the
+    # gate's report at its fixed tolerance: on the corpus of
     # test_verdicts_pinned_on_seeded_corpus, the sign of zero included
     rng = np.random.default_rng(2024)
     physical = 0
@@ -496,9 +517,8 @@ def test_classify_reads_the_bits_of_the_public_predicates():
         for _ in range(200):
             rho = draw(rng)
             cls = classify(rho)
-            report = fano._gate(rho, "test", fano.STATE_TOL).report
-            expected = {k: v for k, v in vars(report).items() if k != "physical"}
-            assert _hex(cls.diagnostics) == _hex(expected)
+            gated = fano._gate(rho, "test", fano.STATE_TOL)
+            assert _hex(cls.diagnostics) == _hex(gated.diagnostics)
             if not cls.physical:
                 assert cls.witnesses == dict.fromkeys(WITNESS_KEYS)
                 continue
@@ -507,14 +527,15 @@ def test_classify_reads_the_bits_of_the_public_predicates():
             herm_a = partial_trace_b(herm)
             p = decompose(herm)
             negativity, min_pt_eig = _ppt(herm)
+            _assert_closed_forms_match_the_matrix_route(cls, herm)
             expected = {
                 "commutator_norm": _commutator_witness(herm, herm_a),
                 "parallel_residual": _parallel_residual(p.x, p.t),
                 "sigma_2": discord_svd(p)[0],
                 "negativity": negativity,
                 "min_pt_eigenvalue": min_pt_eig,
-                "product_residual": _product_residual(herm, herm_a),
-                "purity": _purity(herm),
+                "product_residual": cls.witnesses["product_residual"],
+                "purity": cls.witnesses["purity"],
             }
             assert _hex(cls.witnesses) == _hex(expected)
             # the kernel keeps the bits of the np.cross form it replaced
@@ -525,6 +546,19 @@ def test_classify_reads_the_bits_of_the_public_predicates():
             assert cls.pure == (not expected["purity"] < 1.0 - TOL)
             assert cls.separable == (min_pt_eig >= -TOL)
     assert physical == 1800
+
+
+def test_closed_form_witnesses_keep_a_trace_off_one():
+    # the gate admits |tr rho - 1| <= tol; near_physical.json has trace
+    # 1 + 1e-7, so c_00 != 1, and the unit-trace forms (1 + |x|^2 + |y|^2 +
+    # ||T||^2)/4 and 0.5 * ||T - x y^T||_F would miss the matrix route by
+    # 5e-8 and 1e-14
+    rho = load_state_file(FIXTURES / "near_physical.json")
+    cls = classify(rho, 1e-6)
+    assert cls.physical
+    herm = fano._gate(rho, "test", 1e-6).herm
+    assert abs(np.trace(herm).real - 1.0) > 1e-8
+    _assert_closed_forms_match_the_matrix_route(cls, herm)
 
 
 def _counted(calls, name, call):
@@ -566,8 +600,8 @@ def test_pure_state_lazy_iff_product_or_maximally_entangled():
 
 # the error of a call that passes a tolerance the function does not take
 NO_TOL = "takes 1 positional argument but 2 were given"
-# the error of a call that passes classify a tolerance that is not finite and > 0
-BAD_TOL = "^classify: tol must be a finite number > 0"
+# the error of a call that passes classify a tolerance outside (0, 1)
+BAD_TOL = r"^classify: tol must lie in \(0, 1\)"
 
 
 def _found_zero_discord_a(bell):

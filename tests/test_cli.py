@@ -293,14 +293,16 @@ def test_exit_2_usage_errors():
         # parsed by the CLI, rejected by the library call
         assert _usage_error("bd", "classify", "--lambda", lam) == 2
         assert "bd_region" in run_cli("bd", "classify", "--lambda", lam).stderr
-    assert _usage_error("bd", "classify", "--lambda", "0,0,0", "--tol", "nan") == 2
+    for bad in ("nan", "1"):
+        assert _usage_error("bd", "classify", "--lambda", "0,0,0", "--tol", bad) == 2
     bell = str(FIXTURES / "bell.json")
     assert _usage_error("dynamics-check", bell, "--step", "0.01") == 2
     assert _usage_error("dynamics-check", bell, "--hamiltonians", "0") == 2
     assert _usage_error("dynamics-check", bell, "--seed", "-1") == 2
     # the step is checked before the state is judged: exit 2, not 1
     assert _usage_error("dynamics-check", str(FIXTURES / "trace_low.json"), "--step", "0.01") == 2
-    for bad in ("nan", "-1", "0", "inf"):
+    # a tolerance of 1 or more cannot tell a trace of 0 from one of 1
+    for bad in ("nan", "-1", "0", "inf", "1", "1e300"):
         assert _usage_error("classify", bell, "--tol", bad) == 2
     assert _usage_error("dynamics-check", bell, "--rate-tol", "nan") == 2
     assert _usage_error("dynamics-check", bell, "--nonzero-tol", "-1") == 2

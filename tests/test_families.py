@@ -171,6 +171,8 @@ def test_separable_fano_matches_decompose():
         (SeparableFamilyParams(0.5, math.pi / 2, math.pi / 2, 0.0, 1.0), "not_lazy"),
         (SeparableFamilyParams(0.3, 0.0, 1.0, 0.2, 0.9), "product"),
         (SeparableFamilyParams(0.3, 2.0, 1.0, 0.0, 0.0), "product"),
+        # alpha = 0: the two pure components coincide
+        (SeparableFamilyParams(0.5, 0.0, 0.3, 0.2, 0.4), "product"),
     ],
 )
 def test_separable_classify_examples(s, label):

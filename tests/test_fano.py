@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from lazystates.belldiag import bd_region
-from lazystates.classify import classify
+from lazystates.classify import WITNESS_KEYS, classify
 from lazystates.dynamics import laziness_dynamics_check
 from lazystates.fano import FanoParams, certify, compose, decompose, normal_form
 from lazystates.matcore import (
     I2,
     PAULIS,
+    InvalidArgument,
     det3,
     frob_norm,
     kron,
@@ -130,16 +131,12 @@ GATED_ENTRIES = {
     "classify": classify,
     "laziness_dynamics_check": lambda rho: laziness_dynamics_check(rho, 2),
 }
-# the functions that classify replaced keep their rows: classify answers
-# each, and its report holds what the function returned (validate's report
-# is classify's diagnostics)
-REPLACED_BY_CLASSIFY = {
-    "validate": None,
-    "lazy_by_commutator": "commutator_norm",
-    "is_product": "product_residual",
-    "separable_ppt": "min_pt_eigenvalue",
-    "pure_schmidt": "purity",
-}
+# the functions that classify replaced keep their rows, each run exactly as
+# the classify row: validate's report is classify's diagnostics, and what
+# each other function returned is one of classify's witnesses
+REPLACED_BY_CLASSIFY = (
+    "validate", "lazy_by_commutator", "is_product", "separable_ppt", "pure_schmidt",
+)
 
 
 def _malformed(kind):
@@ -179,9 +176,7 @@ def test_every_entry_judges_a_malformed_state_by_one_gate(entry, kind):
         assert (
             f"{report['min_eigenvalue']:.3e}", f"{report['trace_deviation']:.3e}"
         ) == UNPHYSICAL[kind][:2]
-        key = REPLACED_BY_CLASSIFY.get(entry)
-        if key is not None:
-            assert cls.witnesses[key] is None
+        assert cls.witnesses == dict.fromkeys(WITNESS_KEYS)
         return
     if kind == "3x3":
         message = "expected a 4x4 matrix, got shape (3, 3)"
@@ -198,6 +193,21 @@ def test_every_entry_judges_a_malformed_state_by_one_gate(entry, kind):
     assert str(exc.value) == message
 
 
+# a state tolerance lies in (0, 1); a rate tolerance is any finite number > 0
+TOL_RULES = {
+    "classify: tol": "lie in (0, 1)",
+    "bd_region: tol": "lie in (0, 1)",
+    "laziness_dynamics_check: rate_tol": "be a finite number > 0",
+    "laziness_dynamics_check: nonzero_tol": "be a finite number > 0",
+}
+
+
+def _assert_rejected(call, prefix, bad):
+    with pytest.raises(InvalidArgument) as exc:
+        call()
+    assert str(exc.value) == f"{prefix} must {TOL_RULES[prefix]} (got {bad!r})"
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, 0.0])
 def test_library_calls_reject_a_tolerance_that_is_not_finite_and_positive(bell_phi_plus, bad):
     calls = {
@@ -211,9 +221,20 @@ def test_library_calls_reject_a_tolerance_that_is_not_finite_and_positive(bell_p
         ),
     }
     for prefix, call in calls.items():
-        with pytest.raises(ValueError) as exc:
-            call()
-        assert str(exc.value) == f"{prefix} must be a finite number > 0 (got {bad!r})"
+        _assert_rejected(call, prefix, bad)
+
+
+@pytest.mark.parametrize("bad", [1.0, 1e300])
+def test_a_state_tolerance_of_one_or_more_is_rejected(bell_phi_plus, bad):
+    # at tol >= 1 the gate's trace row cannot tell trace 0 from 1, nor the
+    # labeller lambda 0 from ±1: the zero matrix would pass as a state, the
+    # Bell state as separable with zero discord, the cube's centre as a vertex
+    _assert_rejected(lambda: classify(np.zeros((4, 4)), tol=bad), "classify: tol", bad)
+    _assert_rejected(lambda: classify(bell_phi_plus, tol=bad), "classify: tol", bad)
+    _assert_rejected(lambda: bd_region([0.0, 0.0, 0.0], bad), "bd_region: tol", bad)
+    # a rate tolerance is no state tolerance: criterion 9 passes 1e9
+    report = laziness_dynamics_check(bell_phi_plus, 2, rate_tol=bad, nonzero_tol=bad)
+    assert report.lazy and report.consistent
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -13,13 +13,12 @@ from lazystates.matcore import (
     det3,
     frob_norm,
     kron,
-    partial_trace_a,
     partial_trace_b,
     partial_transpose_b,
     svd3,
     swap_subsystems,
 )
-from oracles import qubit_spectrum
+from oracles import partial_trace_a, qubit_spectrum
 from sampling import ginibre_state, random_hermitian
 
 
