@@ -18,7 +18,7 @@ import numpy as np
 
 from ._version import __version__
 from .fano import FanoParams, compose
-from .matcore import InvalidArgument, _require_tol
+from .matcore import InvalidArgument
 
 BOUNDARY_TOL = 1e-9
 
@@ -55,12 +55,8 @@ class CensusReport:
 
 @dataclass(frozen=True)
 class SliceGrid:
-    axis: int
-    value: float
-    grid: int
-    free_axes: tuple
-    free1: np.ndarray
-    free2: np.ndarray
+    # both free axes run over coords; labels[i][j] is the point (coords[i], coords[j])
+    coords: np.ndarray
     labels: list
 
 
@@ -120,14 +116,13 @@ def _label_chunk(lam, tol, codes, boundary):
     )
 
 
-def bd_region(lam, tol: float = BOUNDARY_TOL) -> str:
-    """Region label of one point of the cube [-1, 1]^3; tol must lie in (0, 1)."""
-    _require_tol(tol, "bd_region", "tol", 1.0)
+def bd_region(lam) -> str:
+    """Region label of one point of the cube [-1, 1]^3, at BOUNDARY_TOL."""
     lam = np.asarray(lam, dtype=float).reshape(1, 3)
     # the negated test rejects NaN as well as points outside the cube
     if not ((-1.0 <= lam) & (lam <= 1.0)).all():
         raise InvalidArgument(f"bd_region: lam must lie in [-1, 1]^3 (got {lam[0].tolist()})")
-    codes, _ = _label_points(lam, tol)
+    codes, _ = _label_points(lam, BOUNDARY_TOL)
     return REGION_LABELS[codes[0]]
 
 
@@ -220,15 +215,7 @@ def bd_slice(axis: int, value: float, grid: int) -> SliceGrid:
     pts[:, free[1] - 1] = f2.ravel()
     codes, _ = _label_points(pts, BOUNDARY_TOL)
     labels = np.array(REGION_LABELS, dtype=object)[codes].reshape(grid, grid).tolist()
-    return SliceGrid(
-        axis=axis,
-        value=float(value),
-        grid=grid,
-        free_axes=free,
-        free1=coords,
-        free2=coords.copy(),
-        labels=labels,
-    )
+    return SliceGrid(coords=coords, labels=labels)
 
 
 def census_to_csv(report: CensusReport) -> str:
@@ -251,13 +238,13 @@ def slice_to_csv(sl: SliceGrid) -> str:
     Each row's "i," and ",x_i," and each column's "j" and "y_j," are formatted
     once; a line is five such pieces, and the file is built with one join.
     """
-    g = len(sl.free2)
+    g = len(sl.coords)
     # pieces of one grid row: "\ni,", "j", ",x_i,", "y_j,", label per line
     cells = [None] * (5 * g)
     cells[1::5] = [str(j) for j in range(g)]
-    cells[3::5] = [f"{float(y)!r}," for y in sl.free2]
+    cells[3::5] = [f"{float(y)!r}," for y in sl.coords]
     parts = ["i,j,l_free1,l_free2,label"]
-    for i, (x, row) in enumerate(zip(sl.free1, sl.labels)):
+    for i, (x, row) in enumerate(zip(sl.coords, sl.labels)):
         cells[0::5] = [f"\n{i},"] * g
         cells[2::5] = [f",{float(x)!r},"] * g
         cells[4::5] = row

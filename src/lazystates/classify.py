@@ -120,15 +120,16 @@ def _purity(c) -> float:
 def classify(rho, tol: float = DEFAULT_TOL) -> Classification:
     """Every hierarchy verdict of one state, each with its one witness.
 
-    fano's state gate runs once: a tol outside (0, 1), a shape other than
-    4x4 or a non-finite entry raises ValueError, and unphysical input
-    yields physical=False with the other verdicts absent and every witness
-    None.  diagnostics holds the gate's report.  Every verdict compares its
-    witness with tol, absolute: lazy_a (commutator_norm, the defining
-    quantity), product (product_residual) and zero_discord_a (sigma_2 of
-    [x | T]) pass at <= tol, separable at min_pt_eigenvalue >= -tol, pure
-    unless purity tr(rho^2) < 1 - tol.  negativity sums the magnitudes of
-    the negative partial-transpose eigenvalues.
+    fano's state gate runs once: a tol that is not a number in (0, 1), a
+    shape other than 4x4 or a non-finite entry raises ValueError, and
+    unphysical input yields physical=False with the other verdicts absent
+    and every witness None.  diagnostics holds the gate's report.  Every
+    verdict compares its witness with tol, absolute: lazy_a
+    (commutator_norm, the defining quantity), product (product_residual)
+    and zero_discord_a (sigma_2 of [x | T]) pass at <= tol, separable at
+    min_pt_eigenvalue >= -tol, pure unless purity tr(rho^2) < 1 - tol.
+    negativity sums the magnitudes of the negative partial-transpose
+    eigenvalues.
     parallel_residual is the second laziness route: it must agree with
     commutator_norm to rounding, or ConsistencyError is raised, and
     lazy_gray_zone flags the rounding case where the two fall on either

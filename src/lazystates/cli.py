@@ -25,7 +25,6 @@ import sys
 
 from ._version import __version__
 from .belldiag import (
-    BOUNDARY_TOL,
     MAX_WORKERS,
     bd_census,
     bd_region,
@@ -34,12 +33,7 @@ from .belldiag import (
     slice_to_csv,
 )
 from .classify import DEFAULT_TOL, ConsistencyError, classify
-from .dynamics import (
-    DEFAULT_STEP,
-    RATE_TOL_NONZERO,
-    RATE_TOL_ZERO,
-    laziness_dynamics_check,
-)
+from .dynamics import DEFAULT_STEP, laziness_dynamics_check
 from .families import (
     LazyDiscordantParams,
     SeparableFamilyParams,
@@ -101,7 +95,7 @@ def _cmd_normal_form(args) -> int:
 
 def _cmd_bd(args) -> int:
     if args.bd_command == "classify":
-        print(bd_region(args.lam, args.tol))
+        print(bd_region(args.lam))
     elif args.bd_command == "census":
         report = bd_census(args.samples, args.seed, workers=args.workers)
         sys.stdout.write(census_to_csv(report))
@@ -131,14 +125,7 @@ def _cmd_family(args) -> int:
 
 def _cmd_dynamics_check(args) -> int:
     rho = load_state_file(args.state)
-    report = laziness_dynamics_check(
-        rho,
-        n_hamiltonians=args.hamiltonians,
-        seed=args.seed,
-        step=args.step,
-        rate_tol=args.rate_tol,
-        nonzero_tol=args.nonzero_tol,
-    )
+    report = laziness_dynamics_check(rho, args.hamiltonians, args.seed, args.step)
     # rates[k] is the rate under the coupling of seed + k
     _print_json({**vars(report), "seed": args.seed, "step": args.step, "version": __version__})
     if not report.consistent and not report.gray_zone:
@@ -180,7 +167,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q = bd_sub.add_parser("classify", help="region label of a cube point")
     q.add_argument("--lambda", dest="lam", type=_lambda_triple, required=True,
                    metavar="L1,L2,L3")
-    q.add_argument("--tol", type=float, default=BOUNDARY_TOL)
     q.set_defaults(func=_cmd_bd)
     q = bd_sub.add_parser("census", help="Monte Carlo region census (CSV)")
     q.add_argument("--samples", type=int, required=True)
@@ -215,8 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hamiltonians", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--step", type=float, default=DEFAULT_STEP)
-    p.add_argument("--rate-tol", type=float, default=RATE_TOL_ZERO)
-    p.add_argument("--nonzero-tol", type=float, default=RATE_TOL_NONZERO)
     p.set_defaults(func=_cmd_dynamics_check)
 
     return parser

@@ -31,9 +31,11 @@ import numpy as np
 
 from .classify import DEFAULT_TOL, _commutator_witness
 from .fano import certify
-from .matcore import InvalidArgument, _require_tol, partial_trace_b
+from .matcore import InvalidArgument, partial_trace_b
 
 DEFAULT_STEP = 1e-4
+# the fixed max |rate| thresholds of the check: a lazy state's rates are at
+# most RATE_TOL_ZERO, a non-lazy state's exceed RATE_TOL_NONZERO
 RATE_TOL_ZERO = 1e-6
 RATE_TOL_NONZERO = 1e-3
 
@@ -118,11 +120,11 @@ def _entropy_rates(rho, n, seed, step) -> tuple:
     return tuple(rates)
 
 
-def _consistency(lazy, max_rate, comm_norm, rate_tol, nonzero_tol):
+def _consistency(lazy, max_rate, comm_norm):
     if lazy:
-        consistent = max_rate <= rate_tol
+        consistent = max_rate <= RATE_TOL_ZERO
     else:
-        consistent = max_rate > nonzero_tol
+        consistent = max_rate > RATE_TOL_NONZERO
     gray = not consistent and COMM_GRAY_ZONE[0] <= comm_norm <= COMM_GRAY_ZONE[1]
     return consistent, gray
 
@@ -132,18 +134,16 @@ def laziness_dynamics_check(
     n_hamiltonians: int = 20,
     seed: int = 0,
     step: float = DEFAULT_STEP,
-    rate_tol: float = RATE_TOL_ZERO,
-    nonzero_tol: float = RATE_TOL_NONZERO,
 ) -> DynamicsCheckReport:
     """Compare the classifier's lazy verdict against sampled entropy rates.
 
     rates[k] is the rate under the coupling of seed + k; caution flags a
     pure first-qubit marginal, which makes every rate ill conditioned.
-    Consistent means (lazy and max |rate| <= rate_tol) or (non-lazy and
-    max |rate| > nonzero_tol).  An inconsistent result whose commutator norm
-    falls in COMM_GRAY_ZONE is a boundary case to log, not a failure.
-    Requires n_hamiltonians >= 1, seed >= 0, 0 < step <= 1e-3, and rate_tol
-    and nonzero_tol finite and > 0; each is checked before rho is read.
+    Consistent means (lazy and max |rate| <= RATE_TOL_ZERO) or (non-lazy
+    and max |rate| > RATE_TOL_NONZERO).  An inconsistent result whose
+    commutator norm falls in COMM_GRAY_ZONE is a boundary case to log, not a
+    failure.  Requires n_hamiltonians >= 1, seed >= 0 and 0 < step <= 1e-3;
+    each is checked before rho is read.
     """
     who = "laziness_dynamics_check"
     if n_hamiltonians < 1:
@@ -152,8 +152,6 @@ def laziness_dynamics_check(
         raise InvalidArgument(f"{who}: seed must be >= 0 (got {seed!r})")
     if not 0.0 < step <= 1e-3:
         raise InvalidArgument(f"{who}: step must lie in (0, 1e-3] (got {step!r})")
-    _require_tol(rate_tol, who, "rate_tol")
-    _require_tol(nonzero_tol, who, "nonzero_tol")
     # the check's one physicality gate; the witness and every rate then see
     # the Hermitian part
     rho = certify(rho, who)
@@ -162,7 +160,7 @@ def laziness_dynamics_check(
     lazy = comm <= DEFAULT_TOL
     rates = _entropy_rates(rho, n_hamiltonians, seed, step)
     max_abs = max(abs(r) for r in rates)
-    consistent, gray = _consistency(lazy, max_abs, comm, rate_tol, nonzero_tol)
+    consistent, gray = _consistency(lazy, max_abs, comm)
     return DynamicsCheckReport(
         max_abs_rate=max_abs,
         rates=rates,

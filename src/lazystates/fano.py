@@ -100,7 +100,7 @@ def _gate(rho, who: str, tol: float) -> _Gated:
     herm is then formed from rho * 2^-600, exact for every entry above
     about 1e-128, which set the minimum eigenvalue.
     """
-    _require_tol(tol, who, "tol", 1.0)
+    _require_tol(tol, who)
     rho = _as_4x4(rho)
     _require_finite(rho, who)
     hres, norm, hermitian = _hermiticity(rho, tol)

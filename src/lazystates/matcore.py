@@ -103,11 +103,14 @@ class InvalidArgument(ValueError):
     each library entry raises it before it reads a state or starts work."""
 
 
-def _require_tol(value, who, name, below=math.inf):
-    # a state tolerance >= 1 cannot tell a trace, eigenvalue or lambda 0 from 1
-    if not 0.0 < value < below:
-        rule = "be a finite number > 0" if below == math.inf else f"lie in (0, {below:g})"
-        raise InvalidArgument(f"{who}: {name} must {rule} (got {value!r})")
+def _require_tol(tol, who):
+    # a state tolerance >= 1 cannot tell a trace or an eigenvalue 0 from 1
+    try:
+        in_range = 0.0 < tol < 1.0
+    except TypeError:  # not a number: a string, None
+        in_range = False
+    if not in_range:
+        raise InvalidArgument(f"{who}: tol must lie in (0, 1) (got {tol!r})")
 
 
 def dot3(a, b) -> float:

@@ -374,8 +374,8 @@ def test_criterion_9_cli_golden_and_exit_codes():
     code1 = run_process("classify", str(fixtures / "trace_low.json")).returncode
     code2 = run_process("classify", str(fixtures / "not_json.json")).returncode
     code3 = run_process(
-        "dynamics-check", str(fixtures / "generic_nonlazy.json"),
-        "--hamiltonians", "3", "--seed", "1", "--nonzero-tol", "1e9",
+        "dynamics-check", str(fixtures / "missed_by_one_coupling.json"),
+        "--hamiltonians", "1", "--seed", "1",
     ).returncode
     codes_ok = (code0, code1, code2, code3) == (0, 1, 2, 3)
 

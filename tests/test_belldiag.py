@@ -302,8 +302,8 @@ def test_slice_axis3_value1_edge():
     sl = bd_slice(axis=3, value=1.0, grid=5)
     for i in range(5):
         for j in range(5):
-            l1 = sl.free1[i]
-            l2 = sl.free2[j]
+            l1 = sl.coords[i]
+            l2 = sl.coords[j]
             if abs(l1 + l2) > 1e-9:
                 assert sl.labels[i][j] == "unphysical"
             elif abs(abs(l1) - 1.0) <= 1e-9:
@@ -320,7 +320,7 @@ def test_slice_axis3_value0_all_separable():
     for i in range(21):
         for j in range(21):
             label = sl.labels[i][j]
-            expected_physical = abs(sl.free1[i]) + abs(sl.free2[j]) <= 1.0 + 1e-9
+            expected_physical = abs(sl.coords[i]) + abs(sl.coords[j]) <= 1.0 + 1e-9
             assert (label != "unphysical") == expected_physical
             if expected_physical:
                 seen_physical += 1
@@ -340,12 +340,12 @@ def test_slice_grid2_and_csv():
 
 def _slice_to_csv_rowwise(sl):
     """Reference CSV: each line formatted whole, then joined by newlines."""
-    free2 = [repr(float(v)) for v in sl.free2]
+    coords = [repr(float(v)) for v in sl.coords]
     lines = ["i,j,l_free1,l_free2,label"]
     for i, row in enumerate(sl.labels):
-        prefix, mid = f"{i},", f",{float(sl.free1[i])!r},"
+        prefix, mid = f"{i},", f",{coords[i]},"
         lines.extend(
-            f"{prefix}{j}{mid}{y},{label}" for j, (y, label) in enumerate(zip(free2, row))
+            f"{prefix}{j}{mid}{y},{label}" for j, (y, label) in enumerate(zip(coords, row))
         )
     return "\n".join(lines) + "\n"
 

@@ -293,8 +293,6 @@ def test_exit_2_usage_errors():
         # parsed by the CLI, rejected by the library call
         assert _usage_error("bd", "classify", "--lambda", lam) == 2
         assert "bd_region" in run_cli("bd", "classify", "--lambda", lam).stderr
-    for bad in ("nan", "1"):
-        assert _usage_error("bd", "classify", "--lambda", "0,0,0", "--tol", bad) == 2
     bell = str(FIXTURES / "bell.json")
     assert _usage_error("dynamics-check", bell, "--step", "0.01") == 2
     assert _usage_error("dynamics-check", bell, "--hamiltonians", "0") == 2
@@ -304,8 +302,14 @@ def test_exit_2_usage_errors():
     # a tolerance of 1 or more cannot tell a trace of 0 from one of 1
     for bad in ("nan", "-1", "0", "inf", "1", "1e300"):
         assert _usage_error("classify", bell, "--tol", bad) == 2
-    assert _usage_error("dynamics-check", bell, "--rate-tol", "nan") == 2
-    assert _usage_error("dynamics-check", bell, "--nonzero-tol", "-1") == 2
+    # the fixed thresholds take no flag: argparse names each removed one
+    for argv in (
+        ("bd", "classify", "--lambda", "0,0,0", "--tol", "1e-9"),
+        ("dynamics-check", bell, "--rate-tol", "1e-6"),
+        ("dynamics-check", bell, "--nonzero-tol", "1e-3"),
+    ):
+        assert _usage_error(*argv) == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in run_cli(*argv).stderr
     assert _usage_error("nonsense-command") == 2
 
 
@@ -401,11 +405,11 @@ def test_exit_1_family_invariant_violation():
 
 
 def test_exit_3_dynamics_inconsistency():
-    # an impossible nonzero threshold makes the non-lazy witness "fail" the
-    # self test deterministically
+    # a non-lazy state whose entropy rate under the one coupling of seed 1 is
+    # zero: a single sampled coupling misses its laziness defect
     result = run_cli(
-        "dynamics-check", str(FIXTURES / "generic_nonlazy.json"),
-        "--hamiltonians", "3", "--seed", "1", "--nonzero-tol", "1e9",
+        "dynamics-check", str(FIXTURES / "missed_by_one_coupling.json"),
+        "--hamiltonians", "1", "--seed", "1",
     )
     assert result.returncode == 3
     doc = json.loads(result.stdout)

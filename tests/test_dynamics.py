@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from lazystates.matcore import (
     hermiticity_residual,
     partial_trace_b,
 )
+from lazystates.stateio import load_state_file
 from oracles import (
     entropy2_reference,
     entropy_rate_reference,
@@ -148,24 +150,28 @@ def test_dynamics_check_consistency():
 
 def test_consistency_gray_zone_logic():
     # inconsistent but the commutator norm sits in the declared gray band
-    consistent, gray = _consistency(
-        lazy=False, max_rate=1e-5, comm_norm=1e-6,
-        rate_tol=1e-6, nonzero_tol=1e-3,
-    )
+    consistent, gray = _consistency(lazy=False, max_rate=1e-5, comm_norm=1e-6)
     assert not consistent and gray
     # inconsistent with a large commutator norm: a genuine failure
-    consistent, gray = _consistency(
-        lazy=False, max_rate=1e-5, comm_norm=1e-2,
-        rate_tol=1e-6, nonzero_tol=1e-3,
-    )
+    consistent, gray = _consistency(lazy=False, max_rate=1e-5, comm_norm=1e-2)
     assert not consistent and not gray
     # consistent cases are never gray
-    consistent, gray = _consistency(
-        lazy=True, max_rate=1e-8, comm_norm=0.0,
-        rate_tol=1e-6, nonzero_tol=1e-3,
-    )
+    consistent, gray = _consistency(lazy=True, max_rate=1e-8, comm_norm=0.0)
     assert consistent and not gray
     assert COMM_GRAY_ZONE[0] < COMM_GRAY_ZONE[1]
+
+
+def test_one_coupling_misses_a_non_lazy_state_that_two_catch():
+    # laziness is a zero rate under every coupling: this state's rate under
+    # the coupling of seed 1 is zero, under seed 2's it is not
+    rho = load_state_file(Path(__file__).parent / "fixtures" / "missed_by_one_coupling.json")
+    cls = classify(rho)
+    assert cls.physical and not cls.lazy_a
+    one = laziness_dynamics_check(rho, 1, seed=1)
+    assert one.commutator_norm > COMM_GRAY_ZONE[1]
+    assert not one.lazy and not one.consistent and not one.gray_zone
+    two = laziness_dynamics_check(rho, 2, seed=1)
+    assert not two.lazy and two.consistent
 
 
 def test_commutator_norm_predicts_rate_sign():

@@ -109,14 +109,14 @@ def cli_argv(draw, state_path, out_paths):
         return ["normal-form", state_path]
     if command == "dynamics-check":
         argv = ["dynamics-check", state_path, "--hamiltonians", draw(small_count)]
-        for flag in ("--seed", "--step", "--rate-tol", "--nonzero-tol"):
+        for flag in ("--seed", "--step"):
             argv += draw(_optional(flag, flag_text))
         return argv
     if command == "bd":
         lam = draw(st.one_of(
             st.lists(flag_text, min_size=3, max_size=3).map(",".join), flag_text
         ))
-        return ["bd", "classify", "--lambda", lam] + draw(_optional("--tol", flag_text))
+        return ["bd", "classify", "--lambda", lam]
     # census and slice sizes are small counts, so no example runs long
     if command == "bd-census":
         argv = ["bd", "census", "--samples", draw(small_size), "--seed", draw(small_size)]

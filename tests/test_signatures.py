@@ -25,16 +25,11 @@ def _public_functions():
                 yield obj
 
 
-def test_only_classify_bd_region_and_the_dynamics_check_take_a_tolerance():
+def test_only_classify_takes_a_tolerance():
     tolerances = {
         (fn.__name__, param)
         for fn in _public_functions()
         for param in inspect.signature(fn).parameters
         if param.endswith("tol")
     }
-    assert tolerances == {
-        ("classify", "tol"),
-        ("bd_region", "tol"),
-        ("laziness_dynamics_check", "rate_tol"),
-        ("laziness_dynamics_check", "nonzero_tol"),
-    }
+    assert tolerances == {("classify", "tol")}
