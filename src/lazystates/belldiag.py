@@ -18,7 +18,7 @@ import numpy as np
 
 from ._version import __version__
 from .fano import FanoParams, compose
-from .matcore import InvalidArgument
+from .matcore import InvalidArgument, _require_int, _require_real
 
 BOUNDARY_TOL = 1e-9
 
@@ -140,14 +140,9 @@ def bd_census(samples: int, seed: int, workers: int = 1) -> CensusReport:
     are tallied separately as boundary hits (they still receive their label).
     workers must lie in [1, MAX_WORKERS].
     """
-    if samples < 1:
-        raise InvalidArgument(f"bd_census: samples must be >= 1 (got {samples!r})")
-    if seed < 0:
-        raise InvalidArgument(f"bd_census: seed must be >= 0 (got {seed!r})")
-    if not 1 <= workers <= MAX_WORKERS:
-        raise InvalidArgument(
-            f"bd_census: workers must lie in [1, {MAX_WORKERS}] (got {workers!r})"
-        )
+    _require_int(samples, 1, math.inf, "bd_census", "samples must be >= 1")
+    _require_int(seed, 0, math.inf, "bd_census", "seed must be >= 0")
+    _require_int(workers, 1, MAX_WORKERS, "bd_census", f"workers must lie in [1, {MAX_WORKERS}]")
     nblocks = (samples + _CENSUS_BLOCK - 1) // _CENSUS_BLOCK
     # set when the calling thread stops waiting, e.g. on Ctrl-C
     stop = threading.Event()
@@ -200,12 +195,9 @@ def bd_slice(axis: int, value: float, grid: int) -> SliceGrid:
     The two free coordinates run over linspace(-1, 1, grid); rows index the
     lower-numbered free axis.
     """
-    if axis not in (1, 2, 3):
-        raise InvalidArgument(f"bd_slice: axis must be 1, 2 or 3 (got {axis!r})")
-    if not -1.0 <= value <= 1.0:
-        raise InvalidArgument(f"bd_slice: value must lie in [-1, 1] (got {value!r})")
-    if grid < 2:
-        raise InvalidArgument(f"bd_slice: grid must be >= 2 (got {grid!r})")
+    _require_int(axis, 1, 3, "bd_slice", "axis must be 1, 2 or 3")
+    _require_real(value, -1.0, 1.0, "bd_slice", "value must lie in [-1, 1]")
+    _require_int(grid, 2, math.inf, "bd_slice", "grid must be >= 2")
     free = tuple(a for a in (1, 2, 3) if a != axis)
     coords = np.linspace(-1.0, 1.0, grid)
     f1, f2 = np.meshgrid(coords, coords, indexing="ij")

@@ -7,18 +7,19 @@ of the base-2 marginal entropy along e^{-iht} rho e^{iht}, for the seeded
 couplings h of unit spectral norm; these are generic, so a non-lazy state
 shows a nonzero rate under them.
 
-Rates come from one stacked pass per chunk of at most _CHUNK couplings: a
-read-only (k, 2, 4, 4) stack of the step propagators u = e^{-ih·step} and
-u† of the couplings of seeds seed ... seed + k - 1, 128 KB at most.  The
-module's one cache, _propagator_stack, keyed by (seed, k, step), holds at
-most two such stacks, 256 KB, so a repeated check in one process builds,
-eigensolves, exponentiates and stacks no coupling again.  A check caches
-only its first stack: its later ones would cycle through the two slots and
-each be evicted before its next use.  A check with another n builds and
-caches its own stack.  The check range-checks every argument before it
-certifies the state or caches anything; its couplings have unit spectral
-norm, so 0 < step <= 1e-3 keeps step * spectral_norm(h) <= 1e-3 and the
-O(step^2) truncation far below the rate thresholds.
+Rates are read in the Heisenberg picture: the first-qubit Bloch vector of
+u rho u†, u = e^{-ih·step}, is x_i = tr(u†(σ_i⊗I)u · rho), and that of
+u† rho u is tr(u(σ_i⊗I)u† · rho), each a real linear functional of the 32
+reals of the certified rho.  The couplings of seeds seed ... seed + k - 1
+make one read-only real (6k, 32) map, at most _CHUNK = 64 couplings and
+96 KB.  The module's one cache, _bloch_map, keyed by (seed, k, step),
+holds at most two maps, so a repeated check in one process builds,
+eigensolves and exponentiates no coupling again.  A check caches only its
+first map: its later ones would cycle through the two slots and each be
+evicted before its next use.  The check range-checks every argument before
+it certifies the state or caches anything; its couplings have unit
+spectral norm, so 0 < step <= 1e-3 keeps step * spectral_norm(h) <= 1e-3
+and the O(step^2) truncation far below the rate thresholds.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .classify import DEFAULT_TOL, _commutator_witness
 from .fano import certify
-from .matcore import InvalidArgument, partial_trace_b
+from .matcore import I2, PAULIS, _require_int, _require_real, kron, partial_trace_b
 
 DEFAULT_STEP = 1e-4
 # the fixed max |rate| thresholds of the check: a lazy state's rates are at
@@ -46,8 +47,12 @@ COMM_GRAY_ZONE = (1e-9, 1e-4)
 # marginal eigenvalues below this contribute nothing to the entropy
 _ENTROPY_CLAMP = 1e-12
 
-# couplings per stacked pass: a stack of _CHUNK (u, u†) pairs is 128 KB
-_CHUNK = 256
+# couplings per pass: a map of _CHUNK couplings, 1,536 B each, is 96 KB
+_CHUNK = 64
+
+# σ_i ⊗ I, i = x, y, z: the first-qubit Bloch components
+_SIGMA_A = np.array([kron(s, I2) for s in PAULIS])
+_SIGNS = np.array([-1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -73,51 +78,53 @@ def _coupling(seed: int):
     return h / max(abs(float(w[0])), abs(float(w[-1])))
 
 
-def _marginal_entropies(m) -> list:
-    """Base-2 entropies of the first-qubit marginals of the (k, 4, 4) stack m.
-
-    Each marginal [[m00 + m11, m02 + m13], [., m22 + m33]] is read straight
-    off m; its spectrum is (1 ∓ |x|)/2, x its Bloch vector.  abs and math.hypot
-    run per element: numpy's vectorized abs and hypot round differently.
-    """
-    z = (m[:, 0, 0] + m[:, 1, 1] - (m[:, 2, 2] + m[:, 3, 3])).real.tolist()
-    c = (m[:, 0, 2] + m[:, 1, 3]).tolist()
-    r = np.array([math.hypot(zk, 2.0 * abs(ck)) for zk, ck in zip(z, c)])
+def _entropies(r):
+    """Base-2 entropies of the qubit states of Bloch radii r, spectra (1 ∓ r)/2."""
     # 1 - r and 1 + r as 1 + (∓r): a sign flip is exact
-    w = (1.0 + np.multiply.outer(r, (-1.0, 1.0))) / 2.0
-    log_w = np.log2(w, out=np.zeros_like(w), where=w > _ENTROPY_CLAMP)
-    return (-(w * log_w).sum(axis=-1)).tolist()
+    w = np.multiply.outer(r, _SIGNS)
+    w += 1.0
+    w /= 2.0
+    w_log_w = np.zeros_like(w)
+    np.log2(w, out=w_log_w, where=w > _ENTROPY_CLAMP)
+    w_log_w *= w
+    return -(w_log_w[:, 0] + w_log_w[:, 1])
 
 
-def _propagator(seed: int, step: float):
-    """(u, u†), u = e^{-ih·step}, for the coupling h of seed."""
-    # the coupling is finite and exactly Hermitian, as _coupling's h
-    w, v = np.linalg.eigh(_coupling(seed))
-    u = (v * np.exp(-1j * w * step)) @ v.conj().T
-    return u, u.conj().T
-
-
-# two stacks of at most _CHUNK pairs: the cache never holds more than 256 KB
+# two maps of at most _CHUNK couplings: the cache never holds more than 192 KB
 @functools.lru_cache(maxsize=2, typed=True)
-def _propagator_stack(seed: int, k: int, step: float):
-    """Read-only (k, 2, 4, 4) stack of the pairs (u, u†) of seeds seed ... seed + k - 1."""
-    stack = np.array([_propagator(seed + j, step) for j in range(k)])
-    stack.flags.writeable = False
-    return stack
+def _bloch_map(seed: int, k: int, step: float):
+    """Read-only (6k, 32) real map: applied to rho.view(float).ravel(), rows
+    6j ... 6j + 2 give the first-qubit Bloch vector of u rho u† under the
+    coupling of seed + j, and rows 6j + 3 ... 6j + 5 that of u† rho u."""
+    a = []
+    for j in range(k):
+        # the coupling is finite and exactly Hermitian, as _coupling's h
+        w, v = np.linalg.eigh(_coupling(seed + j))
+        u = (v * np.exp(-1j * w * step)) @ v.conj().T
+        u_dag = u.conj().T
+        a += [u_dag @ _SIGMA_A @ u, u @ _SIGMA_A @ u_dag]
+    # tr(a rho) of a Hermitian rho is the real inner product of their 32 reals
+    rows = np.concatenate(a).view(float).reshape(6 * k, 32)
+    rows.flags.writeable = False
+    return rows
 
 
 def _entropy_rates(rho, n, seed, step) -> tuple:
     """Central differences of the marginal entropy of a certified rho under
-    the couplings of seeds seed ... seed + n - 1, one stack of at most _CHUNK
-    a pass; only the first stack is taken from the cache."""
-    rates = []
+    the couplings of seeds seed ... seed + n - 1, one map of at most _CHUNK
+    couplings a pass; only the first map is taken from the cache."""
+    v = rho.view(float).ravel()
+    x = np.empty(6 * n)
     for start in range(0, n, _CHUNK):
-        build = _propagator_stack if start == 0 else _propagator_stack.__wrapped__
-        stack = build(seed + start, min(_CHUNK, n - start), step)
-        # stack[:, ::-1] swaps u and u†
-        s = _marginal_entropies((stack @ rho @ stack[:, ::-1]).reshape(-1, 4, 4))
-        rates += [(plus - minus) / (2.0 * step) for plus, minus in zip(s[::2], s[1::2])]
-    return tuple(rates)
+        k = min(_CHUNK, n - start)
+        build = _bloch_map if start == 0 else _bloch_map.__wrapped__
+        # einsum, not @: BLAS's gemv rounds a row's sum by the map's length,
+        # and rate k must keep the bits of a one-coupling check at seed + k
+        np.einsum("kj,j->k", build(seed + start, k, step), v, out=x[6 * start : 6 * (start + k)])
+    x = x.reshape(-1, 3)
+    # entropies of u rho u† and u† rho u alternate
+    s = _entropies(np.sqrt(np.einsum("ki,ki->k", x, x)))
+    return tuple(((s[::2] - s[1::2]) / (2.0 * step)).tolist())
 
 
 def _consistency(lazy, max_rate, comm_norm):
@@ -142,16 +149,13 @@ def laziness_dynamics_check(
     Consistent means (lazy and max |rate| <= RATE_TOL_ZERO) or (non-lazy
     and max |rate| > RATE_TOL_NONZERO).  An inconsistent result whose
     commutator norm falls in COMM_GRAY_ZONE is a boundary case to log, not a
-    failure.  Requires n_hamiltonians >= 1, seed >= 0 and 0 < step <= 1e-3;
-    each is checked before rho is read.
+    failure.  Requires integers n_hamiltonians >= 1 and seed >= 0 and a
+    real 0 < step <= 1e-3; each is checked before rho is read.
     """
     who = "laziness_dynamics_check"
-    if n_hamiltonians < 1:
-        raise InvalidArgument(f"{who}: n_hamiltonians must be at least 1 (got {n_hamiltonians})")
-    if seed < 0:
-        raise InvalidArgument(f"{who}: seed must be >= 0 (got {seed!r})")
-    if not 0.0 < step <= 1e-3:
-        raise InvalidArgument(f"{who}: step must lie in (0, 1e-3] (got {step!r})")
+    _require_int(n_hamiltonians, 1, math.inf, who, "n_hamiltonians must be at least 1")
+    _require_int(seed, 0, math.inf, who, "seed must be >= 0")
+    _require_real(step, 0.0, 1e-3, who, "step must lie in (0, 1e-3]", open_below=True)
     # the check's one physicality gate; the witness and every rate then see
     # the Hermitian part
     rho = certify(rho, who)
@@ -159,7 +163,7 @@ def laziness_dynamics_check(
     comm = _commutator_witness(rho, rho_a)
     lazy = comm <= DEFAULT_TOL
     rates = _entropy_rates(rho, n_hamiltonians, seed, step)
-    max_abs = max(abs(r) for r in rates)
+    max_abs = max(map(abs, rates))
     consistent, gray = _consistency(lazy, max_abs, comm)
     return DynamicsCheckReport(
         max_abs_rate=max_abs,

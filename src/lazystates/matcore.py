@@ -20,6 +20,7 @@ product residual off the Fano coefficients instead.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -111,6 +112,24 @@ def _require_tol(tol, who):
         in_range = False
     if not in_range:
         raise InvalidArgument(f"{who}: tol must lie in (0, 1) (got {tol!r})")
+
+
+def _require_int(x, lo, hi, who, rule):
+    """Raise InvalidArgument(f"{who}: {rule} (got {x!r})") unless x is an
+    integer, not a bool, in [lo, hi]; hi may be math.inf."""
+    # type(x) is int first: the ABC check costs more than the rest together
+    if not ((type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool))
+            and lo <= x <= hi):
+        raise InvalidArgument(f"{who}: {rule} (got {x!r})")
+
+
+def _require_real(x, lo, hi, who, rule, open_below=False):
+    """Raise InvalidArgument(f"{who}: {rule} (got {x!r})") unless x is a real
+    number, not a bool, in [lo, hi], or in (lo, hi] when open_below; with
+    finite bounds, NaN and ±inf never pass."""
+    if not ((type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool))
+            and (lo < x if open_below else lo <= x) and x <= hi):
+        raise InvalidArgument(f"{who}: {rule} (got {x!r})")
 
 
 def dot3(a, b) -> float:

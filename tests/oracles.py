@@ -15,6 +15,9 @@ from lazystates.matcore import (
     partial_trace_b,
 )
 
+# σ_i ⊗ I, i = x, y, z: the observables of the first qubit's Bloch vector
+SIGMA_A = np.array([kron(s, I2) for s in PAULIS])
+
 # the four pure Bell states, the vertices of the physical tetrahedron
 TETRA_VERTICES = np.array(
     [[-1.0, -1.0, -1.0], [-1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]]
@@ -103,7 +106,10 @@ def fresh_coupling(seed):
 
 def entropy2_reference(marginal):
     """Base-2 von Neumann entropy of a qubit state, eigenvalues <= 1e-12 dropped."""
-    w = qubit_spectrum(marginal)
+    return _entropy2(qubit_spectrum(marginal))
+
+
+def _entropy2(w):
     w = w[w > 1e-12]
     return float(-(w * np.log2(w)).sum())
 
@@ -114,13 +120,47 @@ def entropy_rate_reference(rho, h, step):
 
     The rate arithmetic of the uncached implementation: a fresh eigensolve
     and propagator per rate, einsum partial traces, the marginal spectrum by
-    qubit_spectrum.  The dynamics check must give these bits.
+    qubit_spectrum.  The dynamics check reads the marginals another way
+    (entropy_rate_heisenberg_reference), so its rates differ from these by
+    rounding only: by at most 1e-13/step.
     """
     w, v = np.linalg.eigh(h)
     u_plus = (v * np.exp(-1j * w * step)) @ v.conj().T
     s_plus = entropy2_reference(partial_trace_b(u_plus @ rho @ u_plus.conj().T))
     u_minus = u_plus.conj().T
     s_minus = entropy2_reference(partial_trace_b(u_minus @ rho @ u_minus.conj().T))
+    return (s_plus - s_minus) / (2.0 * step)
+
+
+def heisenberg_rows(u):
+    """(6, 32) real rows: applied to rho.view(float).ravel(), rows 0-2 give
+    the first-qubit Bloch vector of u rho u† and rows 3-5 that of u† rho u.
+
+    x_i = tr(a_i rho) with a_i = u†(σ_i⊗I)u, resp. u(σ_i⊗I)u†; for a
+    Hermitian rho that is the real inner product of a_i's and rho's 32 reals.
+    """
+    u_dag = u.conj().T
+    a = np.concatenate([u_dag @ SIGMA_A @ u, u @ SIGMA_A @ u_dag])
+    return a.view(float).reshape(6, 32)
+
+
+def entropy_rate_heisenberg_reference(rho, h, step):
+    """Central-difference d/dt of the first-qubit entropy at t = 0 under the
+    Hermitian coupling h, read in the Heisenberg picture, one coupling at a time.
+
+    The rate arithmetic of the dynamics check, from scratch: a fresh
+    eigensolve and propagator, heisenberg_rows contracted with rho's 32
+    reals by einsum, the radius |x| by einsum, and the entropy of the
+    spectrum (1 ∓ |x|)/2.  The dynamics check must give these bits.
+    """
+    w, v = np.linalg.eigh(h)
+    u = (v * np.exp(-1j * w * step)) @ v.conj().T
+    rho = np.ascontiguousarray(rho, dtype=complex)
+    x = np.einsum("kj,j->k", heisenberg_rows(u), rho.view(float).ravel()).reshape(2, 3)
+    s_plus, s_minus = (
+        _entropy2(np.array([(1.0 - r) / 2.0, (1.0 + r) / 2.0]))
+        for r in np.sqrt(np.einsum("ki,ki->k", x, x)).tolist()
+    )
     return (s_plus - s_minus) / (2.0 * step)
 
 

@@ -367,6 +367,46 @@ def test_slice_rejects_bad_arguments():
         bd_slice(axis=1, value=0.0, grid=1)
 
 
+# a census or slice argument of the wrong type is an InvalidArgument that
+# names the call and the argument, as an out-of-range one is
+BAD_ARGUMENT_TYPES = [
+    (bd_census, ("10", 1), "bd_census: samples must be >= 1 (got '10')"),
+    (bd_census, (True, 1), "bd_census: samples must be >= 1 (got True)"),
+    (bd_census, (10.0, 1), "bd_census: samples must be >= 1 (got 10.0)"),
+    (bd_census, (10, 1.5), "bd_census: seed must be >= 0 (got 1.5)"),
+    (bd_census, (10, None), "bd_census: seed must be >= 0 (got None)"),
+    (bd_census, (10, 1, "2"), f"bd_census: workers must lie in [1, {MAX_WORKERS}] (got '2')"),
+    (bd_slice, (3, "0", 5), "bd_slice: value must lie in [-1, 1] (got '0')"),
+    (bd_slice, (3, float("nan"), 5), "bd_slice: value must lie in [-1, 1] (got nan)"),
+    (bd_slice, (3, True, 5), "bd_slice: value must lie in [-1, 1] (got True)"),
+    (bd_slice, (3, 0.0, "5"), "bd_slice: grid must be >= 2 (got '5')"),
+    (bd_slice, (3, 0.0, 2.5), "bd_slice: grid must be >= 2 (got 2.5)"),
+    (bd_slice, (3.0, 0.0, 5), "bd_slice: axis must be 1, 2 or 3 (got 3.0)"),
+    (bd_slice, (True, 0.0, 5), "bd_slice: axis must be 1, 2 or 3 (got True)"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn,args,message",
+    BAD_ARGUMENT_TYPES,
+    ids=[f"{fn.__name__}{args!r}" for fn, args, _ in BAD_ARGUMENT_TYPES],
+)
+def test_a_bad_argument_type_is_an_invalid_argument(monkeypatch, fn, args, message):
+    labeled = []
+    monkeypatch.setattr(belldiag, "_label_points", lambda *a: labeled.append(a))
+    with pytest.raises(InvalidArgument) as exc:
+        fn(*args)
+    assert str(exc.value) == message
+    assert labeled == []
+
+
+def test_numpy_scalars_are_accepted_arguments():
+    census = bd_census(np.int64(10), np.int64(1), workers=np.int64(1))
+    assert census_to_csv(census) == census_to_csv(bd_census(10, 1))
+    sl = bd_slice(np.int64(3), np.float64(0.5), np.int64(5))
+    assert slice_to_csv(sl) == slice_to_csv(bd_slice(3, 0.5, 5))
+
+
 def test_region_cross_check_against_classifier():
     rng = np.random.default_rng(13)
     checked = 0

@@ -349,10 +349,13 @@ def test_census_workers_are_capped(monkeypatch, capsys):
 
 
 # calls cli.main in the child and sends itself SIGINT about 1 s later, long
-# after the imports, from a timer thread
+# after the imports, from a timer thread; a child started with SIGINT ignored
+# (a background job of a non-interactive shell) gets Python's handler back
+# first, as an interactive Ctrl-C would find it
 _INTERRUPTED_CHILD = """
 import os, signal, sys, threading
 from lazystates import cli
+signal.signal(signal.SIGINT, signal.default_int_handler)
 threading.Timer(1.0, os.kill, (os.getpid(), signal.SIGINT)).start()
 sys.exit(cli.main(sys.argv[1:]))
 """

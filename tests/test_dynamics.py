@@ -15,10 +15,12 @@ from lazystates.dynamics import (
     _CHUNK,
     COMM_GRAY_ZONE,
     DEFAULT_STEP,
+    RATE_TOL_NONZERO,
+    RATE_TOL_ZERO,
+    _bloch_map,
     _consistency,
     _coupling,
-    _marginal_entropies,
-    _propagator_stack,
+    _entropies,
     laziness_dynamics_check,
 )
 from lazystates.families import (
@@ -36,8 +38,10 @@ from lazystates.matcore import (
 from lazystates.stateio import load_state_file
 from oracles import (
     entropy2_reference,
+    entropy_rate_heisenberg_reference,
     entropy_rate_reference,
     fresh_coupling,
+    heisenberg_rows,
     numpy_on_openblas_x86_64,
 )
 from sampling import (
@@ -64,7 +68,8 @@ def test_random_hamiltonian_reproducible_and_hermitian():
     # the check's rate k is the rate under the coupling of seed + k
     rho = ginibre_state(np.random.default_rng(42))
     report = laziness_dynamics_check(rho, 2, seed=41)
-    assert report.rates[1] == entropy_rate_reference(rho, h1, DEFAULT_STEP)
+    assert report.rates[1] == entropy_rate_heisenberg_reference(rho, h1, DEFAULT_STEP)
+    assert_near_the_schroedinger_rates([report.rates], [rho], 41, DEFAULT_STEP)
 
 
 def test_random_hamiltonian_seeds_differ():
@@ -74,14 +79,16 @@ def test_random_hamiltonian_seeds_differ():
 
 
 def test_entropy_a_examples(bell_phi_plus):
-    # the first-qubit marginal entropy every rate is a difference of
+    # the first-qubit marginal entropy every rate is a difference of, read
+    # off the Bloch vector that the rows of u = I give
     ket = np.zeros(4, dtype=complex)
     ket[1] = 1.0
     # marginal eigenvalues (3/4, 1/4): S = 2 - (3/4) log2 3
     rho = np.diag([0.375, 0.375, 0.125, 0.125]).astype(complex)
-    bell, pure, mixed = _marginal_entropies(
-        np.stack([bell_phi_plus, np.outer(ket, ket.conj()), rho])
-    )
+    states = [bell_phi_plus, np.outer(ket, ket.conj()), rho]
+    x = np.array([heisenberg_rows(np.eye(4))[:3] @ m.view(float).ravel() for m in states])
+    assert np.array_equal(x, [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.5]])
+    bell, pure, mixed = _entropies(np.sqrt((x * x).sum(axis=1))).tolist()
     assert abs(bell - 1.0) <= 1e-12
     assert pure <= 1e-12
     assert abs(mixed - (2.0 - 0.75 * np.log2(3.0))) <= 1e-12
@@ -110,7 +117,8 @@ def test_entropy_rate_step_contract():
     (rate,) = report.rates
     assert type(rate) is float
     # the check's one rate at seed 1 and step 1e-4 is the oracle's
-    assert rate == entropy_rate_reference(rho, _coupling(1), 1e-4)
+    assert rate == entropy_rate_heisenberg_reference(rho, _coupling(1), 1e-4)
+    assert_near_the_schroedinger_rates([report.rates], [rho], 1, 1e-4)
     assert not report.caution
 
 
@@ -146,6 +154,24 @@ def test_dynamics_check_consistency():
     report = laziness_dynamics_check(NOT_LAZY_WITNESS, 20, seed=11)
     assert not report.lazy and report.max_abs_rate > 1e-3 and report.consistent
     assert len(report.rates) == 20
+
+
+@pytest.mark.parametrize("lazy,threshold", [(True, RATE_TOL_ZERO), (False, RATE_TOL_NONZERO)])
+def test_consistency_at_the_rate_thresholds(lazy, threshold):
+    # a lazy state may reach RATE_TOL_ZERO; a non-lazy one must exceed RATE_TOL_NONZERO
+    below, above = math.nextafter(threshold, 0.0), math.nextafter(threshold, math.inf)
+    consistent = [_consistency(lazy, rate, 0.0)[0] for rate in (below, threshold, above)]
+    assert consistent == ([True, True, False] if lazy else [False, False, True])
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_gray_zone_includes_both_ends(end):
+    # an inconsistent non-lazy state is gray on [COMM_GRAY_ZONE[0], COMM_GRAY_ZONE[1]]
+    inside = COMM_GRAY_ZONE[end]
+    outside = math.nextafter(inside, (0.0, math.inf)[end])
+    inward = math.nextafter(inside, (math.inf, 0.0)[end])
+    gray = [_consistency(False, 0.0, comm)[1] for comm in (outside, inside, inward)]
+    assert gray == [False, True, True]
 
 
 def test_consistency_gray_zone_logic():
@@ -214,9 +240,20 @@ def _caution_reference(rho):
 def _reference_rates(rho, n_hamiltonians, seed, step):
     # a fresh coupling per rate, eigensolved per rate
     return tuple(
-        entropy_rate_reference(rho, fresh_coupling(seed + k), step)
+        entropy_rate_heisenberg_reference(rho, fresh_coupling(seed + k), step)
         for k in range(n_hamiltonians)
     )
+
+
+def assert_near_the_schroedinger_rates(rates, states, seed, step):
+    """Each rate list within 1e-13/step of entropy_rate_reference, which forms
+    u rho u† and reads the marginal off the matrix."""
+    for rho, state_rates in zip(states, rates, strict=True):
+        for k, rate in enumerate(state_rates):
+            reference = entropy_rate_reference(
+                certify(rho, "test"), fresh_coupling(seed + k), step
+            )
+            assert abs(rate - reference) <= 1e-13 / step
 
 
 CHECK_CASES = [(0, 20, 1e-4), (11, 5, 5e-5), (1000, 33, 2e-4), (2**40, 3, 1e-5)]
@@ -226,10 +263,10 @@ CHECK_CASES = [(0, 20, 1e-4), (11, 5, 5e-5), (1000, 33, 2e-4), (2**40, 3, 1e-5)]
 def test_cached_couplings_give_the_uncached_rates(seed, n_hamiltonians, step):
     rng = np.random.default_rng(seed % 997)
     states = [make(rng) for make in DYNAMICS_KINDS.values()]
-    _propagator_stack.cache_clear()
+    _bloch_map.cache_clear()
     cold = [laziness_dynamics_check(rho, n_hamiltonians, seed, step) for rho in states]
-    # one propagator stack built per (seed, n, step), shared by every state
-    assert _propagator_stack.cache_info().misses == 1
+    # one map built per (seed, n, step), shared by every state
+    assert _bloch_map.cache_info().misses == 1
     warm = [laziness_dynamics_check(rho, n_hamiltonians, seed, step) for rho in states]
     for k in range(n_hamiltonians):
         assert np.array_equal(_coupling(seed + k), fresh_coupling(seed + k))
@@ -237,6 +274,7 @@ def test_cached_couplings_give_the_uncached_rates(seed, n_hamiltonians, step):
     # repr tells every float bit pattern apart, -0.0 from 0.0 included
     assert repr([r.rates for r in cold]) == repr(oracle)
     assert repr(warm) == repr(cold)
+    assert_near_the_schroedinger_rates([r.rates for r in cold], states, seed, step)
 
 
 def test_warm_check_eigensolves_no_coupling(monkeypatch):
@@ -257,28 +295,31 @@ def test_mutating_a_returned_coupling_leaves_the_check_alone():
     before = laziness_dynamics_check(rho, 4, seed=40)
     coupling = _coupling(41)
     assert coupling.flags.writeable
-    assert not _propagator_stack(40, 4, DEFAULT_STEP).flags.writeable
+    assert not _bloch_map(40, 4, DEFAULT_STEP).flags.writeable
     coupling[:] = 0.0
     after = laziness_dynamics_check(rho, 4, seed=40)
     assert repr(after) == repr(before)
     assert repr(after.rates) == repr(_reference_rates(rho, 4, 40, DEFAULT_STEP))
+    assert_near_the_schroedinger_rates([after.rates], [rho], 40, DEFAULT_STEP)
     assert not np.array_equal(_coupling(41), coupling)
 
 
 def test_cache_accepts_the_seeds_numpy_accepts():
-    stack = _propagator_stack(np.int64(5), 1, DEFAULT_STEP)
-    assert np.array_equal(_propagator_stack(5, 1, DEFAULT_STEP), stack)
-    # 5.0 == 5, but default_rng refuses a float seed, cached or not
+    rows = _bloch_map(np.int64(5), 1, DEFAULT_STEP)
+    assert np.array_equal(_bloch_map(5, 1, DEFAULT_STEP), rows)
+    # 5.0 == 5, but default_rng refuses a float seed, and the check refuses
+    # it before it reads the state
     with pytest.raises(TypeError):
-        _propagator_stack(5.0, 1, DEFAULT_STEP)
-    with pytest.raises(TypeError):
+        _bloch_map(5.0, 1, DEFAULT_STEP)
+    with pytest.raises(InvalidArgument) as exc:
         laziness_dynamics_check(np.eye(4) / 4, 1, seed=5.0)
+    assert str(exc.value) == "laziness_dynamics_check: seed must be >= 0 (got 5.0)"
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-4, 0.01])
 def test_bad_step_raises_the_same_error_on_a_warm_cache(step):
     rho = bd_compose([0.2, 0.1, -0.3])
-    _propagator_stack.cache_clear()
+    _bloch_map.cache_clear()
     with pytest.raises(InvalidArgument) as cold:
         laziness_dynamics_check(rho, 3, seed=5, step=step)
     laziness_dynamics_check(rho, 3, seed=5)
@@ -294,10 +335,11 @@ def test_check_matches_the_reference_arithmetic(seed, n_hamiltonians, step):
     rng = np.random.default_rng(seed % 997)
     states = [make(rng) for make in DYNAMICS_KINDS.values()]
     oracle = [_reference_rates(rho, n_hamiltonians, seed, step) for rho in states]
-    _propagator_stack.cache_clear()
+    _bloch_map.cache_clear()
     for _ in ("cold", "warm"):
         reports = [laziness_dynamics_check(rho, n_hamiltonians, seed, step) for rho in states]
         assert repr([r.rates for r in reports]) == repr(oracle)
+        assert_near_the_schroedinger_rates([r.rates for r in reports], states, seed, step)
         assert [r.caution for r in reports] == [_caution_reference(rho) for rho in states]
     # rate k of a check is the one rate of the check at seed + k
     direct = [
@@ -317,16 +359,17 @@ def test_entropy_a_matches_the_reference_arithmetic(bell_phi_plus):
     w, v = np.linalg.eigh(fresh_coupling(3))
     u = (v * np.exp(-1j * w * 0.7)) @ v.conj().T
     states += [u @ rho @ u.conj().T for rho in states]
-    for rho in states:
-        herm = certify(rho, "test")
-        assert repr(_marginal_entropies(herm[None])[0]) == repr(
-            entropy2_reference(partial_trace_b(herm))
-        )
+    marginals = [partial_trace_b(certify(rho, "test")) for rho in states]
+    # the radius the reference reads off the marginal matrix
+    radii = [math.hypot((m[0, 0] - m[1, 1]).real, 2.0 * abs(m[0, 1])) for m in marginals]
+    assert repr(_entropies(np.array(radii)).tolist()) == repr(
+        [entropy2_reference(m) for m in marginals]
+    )
 
 
-# SHA-256 of repr of the 200 reports, recorded with per-coupling products
-# under OpenBLAS's SkylakeX kernel, as the goldens are
-PINNED_REPORTS_SHA256 = "a341f0f919748b63040370ec6727b01e319feab08d56bc8d28b8aaac6f8ee113"
+# SHA-256 of repr of the 200 reports, recorded under OpenBLAS's SkylakeX
+# kernel, as the goldens are
+PINNED_REPORTS_SHA256 = "63f6d530e3d776fb349d81d489e01d66886e10ea631587600989bd6a00a38959"
 
 
 def test_dynamics_reports_are_pinned():
@@ -344,20 +387,30 @@ def test_dynamics_reports_are_pinned():
         _CHUNK,
         _CHUNK + 1,
         2 * _CHUNK + 1,
+        4 * _CHUNK - 1,
+        4 * _CHUNK,
+        4 * _CHUNK + 1,
+        8 * _CHUNK + 1,
     ],
 )
 def test_chunk_boundaries_give_the_reference_rates(monkeypatch, n_hamiltonians):
     rho = ginibre_state(np.random.default_rng(n_hamiltonians))
-    stacked = []
-    entropies = dynamics._marginal_entropies
-    monkeypatch.setattr(
-        dynamics, "_marginal_entropies", lambda m: stacked.append(len(m)) or entropies(m)
-    )
+    contracted = []
+    einsum = np.einsum
+
+    def counting_einsum(subscripts, *operands, **kwargs):
+        if subscripts == "kj,j->k":
+            contracted.append(len(operands[0]))
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting_einsum)
     report = laziness_dynamics_check(rho, n_hamiltonians, seed=3000)
+    monkeypatch.undo()
     assert repr(report.rates) == repr(_reference_rates(rho, n_hamiltonians, 3000, DEFAULT_STEP))
-    # each pass stacks u rho u† and u† rho u of at most _CHUNK couplings
+    assert_near_the_schroedinger_rates([report.rates], [rho], 3000, DEFAULT_STEP)
+    # each pass contracts the six rows of each of at most _CHUNK couplings
     sizes = [min(_CHUNK, n_hamiltonians - start) for start in range(0, n_hamiltonians, _CHUNK)]
-    assert stacked == [2 * k for k in sizes]
+    assert contracted == [6 * k for k in sizes]
 
 
 _PRESCOTT_RATES_CHILD = """
@@ -369,9 +422,10 @@ from lazystates.dynamics import laziness_dynamics_check
 rng = np.random.default_rng(23)
 for name, make in DYNAMICS_KINDS.items():
     rho = make(rng)
-    rates = laziness_dynamics_check(rho, 20, seed=0).rates
-    if repr(rates) != repr(_reference_rates(rho, 20, 0, 1e-4)):
-        sys.exit(name + ": stacked rates differ from the reference")
+    for n in (20, 65):
+        rates = laziness_dynamics_check(rho, n, seed=0).rates
+        if repr(rates) != repr(_reference_rates(rho, n, 0, 1e-4)):
+            sys.exit(name + ": stacked rates differ from the reference")
 """
 
 
@@ -379,8 +433,8 @@ for name, make in DYNAMICS_KINDS.items():
     not numpy_on_openblas_x86_64(), reason="needs numpy on OpenBLAS, x86-64"
 )
 def test_stacked_rates_match_the_reference_under_the_prescott_kernel():
-    # Prescott's zgemm rounds differently from the newer kernels; the stacked
-    # products must still equal the per-coupling ones bit for bit
+    # Prescott's zgemm rounds differently from the newer kernels; the rates
+    # of a whole map must still equal the per-coupling ones bit for bit
     result = subprocess.run(
         [sys.executable, "-c", _PRESCOTT_RATES_CHILD, os.path.dirname(os.path.abspath(__file__))],
         capture_output=True, text=True, env={**os.environ, "OPENBLAS_CORETYPE": "Prescott"},
@@ -389,69 +443,71 @@ def test_stacked_rates_match_the_reference_under_the_prescott_kernel():
 
 
 def test_repeated_check_past_the_cache_size_hits_the_cache():
-    # stacks past the first are built uncached; cycled through the cache in
+    # maps past the first are built uncached; cycled through the cache in
     # order, each would be evicted before its next use
     rho = ginibre_state(np.random.default_rng(9))
     n = _CHUNK + 1
-    _propagator_stack.cache_clear()
+    _bloch_map.cache_clear()
     first = laziness_dynamics_check(rho, n, seed=5000)
-    assert _propagator_stack.cache_info()[:2] == (0, 1)  # hits, misses
+    assert _bloch_map.cache_info()[:2] == (0, 1)  # hits, misses
     second = laziness_dynamics_check(rho, n, seed=5000)
-    assert _propagator_stack.cache_info()[:2] == (1, 1)
-    assert _propagator_stack.cache_info().currsize == 1
+    assert _bloch_map.cache_info()[:2] == (1, 1)
+    assert _bloch_map.cache_info().currsize == 1
     assert repr(second) == repr(first)
     assert repr(first.rates) == repr(_reference_rates(rho, n, 5000, DEFAULT_STEP))
 
 
-def test_propagators_are_keyed_by_seed_and_step():
+def test_bloch_maps_are_keyed_by_seed_and_step():
     # alternating steps, overlapping seed ranges and counts on a warm cache:
     # a key that dropped the step or the count or shifted the seed would
-    # hand back a wrong stack
+    # hand back a wrong map
     rho = ginibre_state(np.random.default_rng(8))
     for step in (1e-4, 5e-5, 1e-4, 2e-4):
         for seed, n in ((60, 3), (61, 3), (60, 3), (60, 2)):
             report = laziness_dynamics_check(rho, n, seed, step)
             assert repr(report.rates) == repr(_reference_rates(rho, n, seed, step))
-    stack = _propagator_stack(60, 3, 1e-4)
-    assert not np.array_equal(stack, _propagator_stack(61, 3, 1e-4))
-    assert not np.array_equal(stack, _propagator_stack(60, 3, 5e-5))
-    assert np.array_equal(_propagator_stack(60, 2, 1e-4), stack[:2])
+            assert_near_the_schroedinger_rates([report.rates], [rho], seed, step)
+    rows = _bloch_map(60, 3, 1e-4)
+    assert not np.array_equal(rows, _bloch_map(61, 3, 1e-4))
+    assert not np.array_equal(rows, _bloch_map(60, 3, 5e-5))
+    assert np.array_equal(_bloch_map(60, 2, 1e-4), rows[:12])
 
 
-def test_cached_propagators_are_read_only():
-    stack = _propagator_stack(62, 2, DEFAULT_STEP)
-    assert stack.shape == (2, 2, 4, 4)
-    for k, (u, u_dag) in enumerate(stack):
-        assert np.array_equal(u_dag, u.conj().T)
+def test_cached_bloch_maps_are_read_only():
+    rows = _bloch_map(62, 2, DEFAULT_STEP)
+    assert rows.shape == (12, 32) and rows.dtype == np.float64
+    for k in range(2):
         w, v = np.linalg.eigh(fresh_coupling(62 + k))
-        assert np.array_equal(u, (v * np.exp(-1j * w * DEFAULT_STEP)) @ v.conj().T)
-    # the stack and the view of it with u and u† swapped, as the check reads it
-    for a in (stack, stack[:, ::-1]):
+        u = (v * np.exp(-1j * w * DEFAULT_STEP)) @ v.conj().T
+        assert np.array_equal(rows[6 * k : 6 * k + 6], heisenberg_rows(u))
+    # the map and the view of it the check contracts with
+    for a in (rows, rows[6:]):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
-            a[0, 0, 0, 0] = 0.0
-    assert _propagator_stack(62, 2, DEFAULT_STEP) is stack
+            a[0, 0] = 0.0
+    assert _bloch_map(62, 2, DEFAULT_STEP) is rows
 
 
 def test_stack_cache_never_holds_more_than_256_kb():
-    maxsize = _propagator_stack.cache_parameters()["maxsize"]
-    # full-size stacks of 128 KB, so that maxsize of them fill the 256 KB
-    assert _propagator_stack(7000, _CHUNK, DEFAULT_STEP).nbytes == 128 * 1024
-    assert maxsize * 128 * 1024 <= 256 * 1024
+    maxsize = _bloch_map.cache_parameters()["maxsize"]
+    # a full-size map is 6 rows of 32 float64 per coupling, at most 128 KB,
+    # so that maxsize of them stay within 256 KB
+    full = _bloch_map(7000, _CHUNK, DEFAULT_STEP).nbytes
+    assert full == _CHUNK * 6 * 32 * 8 <= 128 * 1024
+    assert maxsize * full <= 256 * 1024
     for key in range(maxsize + 2):
-        _propagator_stack(7001 + key, _CHUNK - key % 2, DEFAULT_STEP)
-        assert _propagator_stack.cache_info().currsize <= maxsize
+        _bloch_map(7001 + key, _CHUNK - key % 2, DEFAULT_STEP)
+        assert _bloch_map.cache_info().currsize <= maxsize
 
 
 def test_warm_benchmark_check_makes_one_cache_hit_and_builds_nothing(monkeypatch):
     rho = ginibre_state(np.random.default_rng(10))
     cold = laziness_dynamics_check(rho, 20, seed=0, step=1e-4)
-    before = _propagator_stack.cache_info()
+    before = _bloch_map.cache_info()
     built = []
     monkeypatch.setattr(dynamics, "_coupling", lambda *args: built.append(args))
-    monkeypatch.setattr(dynamics, "_propagator", lambda *args: built.append(args))
     warm = laziness_dynamics_check(rho, 20, seed=0, step=1e-4)
-    after = _propagator_stack.cache_info()
+    after = _bloch_map.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
     assert built == []
     assert repr(warm) == repr(cold)
@@ -465,11 +521,11 @@ def test_non_finite_step_is_rejected(bell_phi_plus, step):
 
 
 def test_rejected_step_leaves_nothing_cached(bell_phi_plus):
-    _propagator_stack.cache_clear()
+    _bloch_map.cache_clear()
     for step in (math.nan, 0.0, 0.01):
         with pytest.raises(ValueError):
             laziness_dynamics_check(bell_phi_plus, 2, seed=3, step=step)
-    assert _propagator_stack.cache_info().currsize == 0
+    assert _bloch_map.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("n_hamiltonians", [0, -1])
@@ -494,6 +550,35 @@ def test_check_rejects_a_negative_seed_before_judging_the_state(monkeypatch):
     assert judged == []
 
 
+BAD_ARGUMENT_TYPES = [
+    ({"n_hamiltonians": "2"}, "n_hamiltonians must be at least 1 (got '2')"),
+    ({"n_hamiltonians": 2.5}, "n_hamiltonians must be at least 1 (got 2.5)"),
+    ({"n_hamiltonians": True}, "n_hamiltonians must be at least 1 (got True)"),
+    ({"seed": None}, "seed must be >= 0 (got None)"),
+    ({"seed": "0"}, "seed must be >= 0 (got '0')"),
+    ({"step": "1e-4"}, "step must lie in (0, 1e-3] (got '1e-4')"),
+    ({"step": None}, "step must lie in (0, 1e-3] (got None)"),
+]
+
+
+@pytest.mark.parametrize(
+    "kwargs,message", BAD_ARGUMENT_TYPES, ids=[repr(kw) for kw, _ in BAD_ARGUMENT_TYPES]
+)
+def test_a_bad_argument_type_is_an_invalid_argument(monkeypatch, kwargs, message):
+    judged = []
+    monkeypatch.setattr(dynamics, "certify", lambda *args: judged.append(args))
+    with pytest.raises(InvalidArgument) as exc:
+        laziness_dynamics_check(np.eye(4) / 4, **kwargs)
+    assert str(exc.value) == f"laziness_dynamics_check: {message}"
+    assert judged == []
+
+
+def test_numpy_integer_and_float_arguments_are_accepted():
+    rho = ginibre_state(np.random.default_rng(12))
+    report = laziness_dynamics_check(rho, np.int64(3), np.int64(7), np.float64(1e-4))
+    assert repr(report) == repr(laziness_dynamics_check(rho, 3, 7, 1e-4))
+
+
 def test_bad_step_on_an_unphysical_state_is_an_invalid_argument(bell_phi_plus):
     # the step is checked before the state: the error names the step, not
     # an unphysical state
@@ -509,7 +594,7 @@ def test_check_eigensolves_only_exactly_hermitian_matrices(monkeypatch, bell_phi
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
-    _propagator_stack.cache_clear()
+    _bloch_map.cache_clear()
     laziness_dynamics_check(bell_phi_plus, 3, seed=7)
     assert len(calls) == 1 + 2 * 3
     assert all(np.array_equal(m, m.conj().T) for m in calls)
