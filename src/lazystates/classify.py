@@ -24,14 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fano import _coeffs, _gate
-from .matcore import (
-    I2,
-    commutator,
-    frob_norm,
-    kron,
-    partial_trace_b,
-    partial_transpose_b,
-)
+from .matcore import I2, kron, partial_trace_b, partial_transpose_b
 
 DEFAULT_TOL = 1e-9
 
@@ -69,7 +62,8 @@ class Classification:
 
 
 def _commutator_witness(rho, rho_a) -> float:
-    return frob_norm(commutator(rho, kron(rho_a, I2)))
+    a = kron(rho_a, I2)
+    return float(np.linalg.norm(rho @ a - a @ rho))
 
 
 def _parallel_residual(x, t) -> float:
@@ -79,24 +73,7 @@ def _parallel_residual(x, t) -> float:
     # out (j, k) as it does
     (x0, x1, x2), (t0, t1, t2) = x.tolist(), t.tolist()
     cross = [(x1 * c - x2 * b, x2 * a - x0 * c, x0 * b - x1 * a) for a, b, c in zip(t0, t1, t2)]
-    return 0.5 * frob_norm(cross)
-
-
-def _discord_svd(m):
-    """(sigma_2, n) of the 3x4 matrix m = [x | t].
-
-    A 2-qubit state has zero discord with respect to A exactly when m has
-    rank at most one (Dakić, Vedral, Brukner, PRL 105, 190502, 2010), so
-    the witness is sigma_2(m).  The measurement direction of a zero-discord
-    state is the leading left singular vector n of m: the projective pinch
-    along n,
-
-        rho -> (P0@I) rho (P0@I) + (P1@I) rho (P1@I),  P± = (I ± n.s)/2,
-
-    moves rho by exactly 0.5 * hypot(sigma_2, sigma_3) in Frobenius norm.
-    """
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return float(s[1]), u[:, 0]
+    return 0.5 * float(np.linalg.norm(cross))
 
 
 def _product_residual(c) -> float:
@@ -151,7 +128,8 @@ def classify(rho, tol: float = DEFAULT_TOL) -> Classification:
             "laziness routes disagree: commutator norm "
             f"{comm_norm:.3e}, parallelism residual {residual:.3e}"
         )
-    sigma_2, _ = _discord_svd(c[1:])
+    # zero discord with respect to A is rank [x | T] <= 1 (Dakić, Vedral, Brukner, PRL 105, 190502)
+    sigma_2 = float(np.linalg.svd(c[1:], full_matrices=False)[1][1])
     product_residual = _product_residual(c)
     negativity, min_pt_eig = _ppt(rho)
     purity = _purity(c)

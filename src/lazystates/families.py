@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fano import FanoParams, compose
-from .matcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, kron
+from .matcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, _is_real, kron
 
 
 @dataclass(frozen=True)
@@ -44,12 +44,12 @@ class SeparableFamilyParams:
 
 
 def check_lazy_discordant(q: LazyDiscordantParams) -> None:
-    """Raise ValueError naming the violated inequality, if any."""
-    if not 0.0 < q.lambda2:
+    """Raise ValueError naming the violated inequality, if any; a non-real field violates it."""
+    if not (_is_real(q.lambda2) and 0.0 < q.lambda2):
         raise ValueError(
             f"lazy-discordant family requires 0 < lambda2 (got lambda2={q.lambda2})"
         )
-    if not q.lambda2 < q.lambda3:
+    if not (_is_real(q.lambda3) and q.lambda2 < q.lambda3):
         raise ValueError(
             "lazy-discordant family requires lambda2 < lambda3 strictly "
             f"(got lambda2={q.lambda2}, lambda3={q.lambda3})"
@@ -57,7 +57,7 @@ def check_lazy_discordant(q: LazyDiscordantParams) -> None:
     s = q.lambda3 + q.lambda2
     # either term beyond 1 breaks the bound alone, and squaring it may overflow;
     # the negated test also rejects a NaN y1
-    if not (abs(q.y1) <= 1.0 and abs(s) <= 1.0 and q.y1**2 + s**2 <= 1.0):
+    if not (_is_real(q.y1) and abs(q.y1) <= 1.0 and abs(s) <= 1.0 and q.y1**2 + s**2 <= 1.0):
         raise ValueError(
             "positivity bound violated: y1^2 + (lambda3 + lambda2)^2 > 1 "
             f"(got y1={q.y1}, lambda2={q.lambda2}, lambda3={q.lambda3})"
@@ -72,17 +72,18 @@ def lazy_discordant_compose(q: LazyDiscordantParams):
 
 
 def check_separable_params(s: SeparableFamilyParams) -> None:
-    if not 0.0 < s.p < 1.0:
+    """Raise ValueError naming the first field out of range or not a real number."""
+    if not (_is_real(s.p) and 0.0 < s.p < 1.0):
         raise ValueError(
             f"mixing weight p must lie strictly inside (0, 1) (got p={s.p})"
         )
-    if not 0.0 <= s.alpha <= math.pi:
+    if not (_is_real(s.alpha) and 0.0 <= s.alpha <= math.pi):
         raise ValueError(f"alpha must lie in [0, pi] (got alpha={s.alpha})")
-    if not 0.0 <= s.beta <= math.pi:
+    if not (_is_real(s.beta) and 0.0 <= s.beta <= math.pi):
         raise ValueError(f"beta must lie in [0, pi] (got beta={s.beta})")
-    if not 0.0 <= s.a <= 1.0:
+    if not (_is_real(s.a) and 0.0 <= s.a <= 1.0):
         raise ValueError(f"a must lie in [0, 1] (got a={s.a})")
-    if not 0.0 <= s.b <= 1.0:
+    if not (_is_real(s.b) and 0.0 <= s.b <= 1.0):
         raise ValueError(f"b must lie in [0, 1] (got b={s.b})")
 
 

@@ -18,6 +18,7 @@ normal-form reads both decompose's and certify's off one pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,10 +27,10 @@ import numpy as np
 from .matcore import (
     I2,
     PAULIS,
+    InvalidArgument,
     _as_4x4,
-    _hermiticity,
     _require_finite,
-    _require_tol,
+    _require_real,
     det3,
     dot3,
     kron,
@@ -85,7 +86,7 @@ class _Gated(NamedTuple):
     rho: np.ndarray  # the input as a complex array
     herm: np.ndarray  # its Hermitian part (rho + rho†)/2
     overflow: bool  # ||rho||_F overflows to inf
-    hermitian: bool  # matcore's overflow-safe Hermiticity rule at tol
+    hermitian: bool  # the overflow-safe Hermiticity rule at tol
     physical: bool  # hermitian, and the trace and positivity rows pass at tol
     diagnostics: dict  # the three rows' numbers, as classify reports them
 
@@ -100,10 +101,17 @@ def _gate(rho, who: str, tol: float) -> _Gated:
     herm is then formed from rho * 2^-600, exact for every entry above
     about 1e-128, which set the minimum eigenvalue.
     """
-    _require_tol(tol, who)
+    # (0, 1) is open at both ends: the largest float below 1 bounds it
+    _require_real(
+        tol, 0.0, math.nextafter(1.0, 0.0), who, "tol must lie in (0, 1)", open_below=True
+    )
     rho = _as_4x4(rho)
     _require_finite(rho, who)
-    hres, norm, hermitian = _hermiticity(rho, tol)
+    # the Hermiticity rule: ||rho||_F is finite and ||rho - rho†||_F <= tol *
+    # max(1, ||rho||_F); a norm that overflows to inf would admit any residual
+    with np.errstate(over="ignore"):
+        hres, norm = float(np.linalg.norm(rho - rho.conj().T)), float(np.linalg.norm(rho))
+    hermitian = norm < np.inf and hres <= tol * max(1.0, norm)
     scale = 1.0 if norm < np.inf else 2.0**-600
     m = rho * scale
     herm = (m + m.conj().T) / 2.0
@@ -144,6 +152,8 @@ def decompose(rho) -> FanoParams:
 
 def compose(p: FanoParams):
     """Inverse of decompose; positivity is not enforced (certify and classify judge it)."""
+    if not isinstance(p, FanoParams):
+        raise InvalidArgument(f"compose: p must be a FanoParams (got {p!r})")
     coeffs = np.zeros((4, 4))
     coeffs[0, 0] = 1.0
     coeffs[1:, 0] = p.x
@@ -185,6 +195,8 @@ def normal_form(p: FanoParams) -> NormalForm:
     every field depends on CPython float arithmetic, math.sqrt and
     math.hypot, and on no BLAS or LAPACK build.
     """
+    if not isinstance(p, FanoParams):
+        raise InvalidArgument(f"normal_form: p must be a FanoParams (got {p!r})")
     u, s, v = svd3(p.t)
     u2 = np.ascontiguousarray(u[:, ::-1])
     v2 = np.ascontiguousarray(v[:, ::-1])

@@ -14,7 +14,10 @@ svd3 makes that choice in CPython float arithmetic with math.sqrt and
 math.hypot, calling neither BLAS nor LAPACK, so it is the same whichever
 kernel OpenBLAS picks at run time; it raises ValueError on non-finite input.
 Only the second qubit is traced out here: classify reads purity and the
-product residual off the Fano coefficients instead.
+product residual off the Fano coefficients instead.  Besides the kernels,
+this module holds the argument rules every entry point shares; the
+Hermiticity rule for a state belongs to fano's state gate, with the
+gate's other rows.
 """
 
 from __future__ import annotations
@@ -40,34 +43,6 @@ def kron(a, b):
     products, in one broadcast multiply without its any-rank bookkeeping."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
-
-
-def frob_norm(m) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(np.asarray(m)))
-
-
-def commutator(a, b):
-    """[a, b] = ab - ba."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    return a @ b - b @ a
-
-
-def hermiticity_residual(m) -> float:
-    """Frobenius norm of m - m†."""
-    m = np.asarray(m, dtype=complex)
-    return float(np.linalg.norm(m - m.conj().T))
-
-
-def _hermiticity(m, tol):
-    """(||m - m†||_F, ||m||_F, verdict) under the one Hermiticity rule:
-    ||m||_F is finite and ||m - m†||_F <= tol * max(1, ||m||_F).  A norm
-    that overflows to inf would admit any residual, so it fails.
-    """
-    with np.errstate(over="ignore"):
-        res, norm = hermiticity_residual(m), frob_norm(m)
-    return res, norm, norm < np.inf and res <= tol * max(1.0, norm)
 
 
 def _as_4x4(m):
@@ -104,16 +79,6 @@ class InvalidArgument(ValueError):
     each library entry raises it before it reads a state or starts work."""
 
 
-def _require_tol(tol, who):
-    # a state tolerance >= 1 cannot tell a trace or an eigenvalue 0 from 1
-    try:
-        in_range = 0.0 < tol < 1.0
-    except TypeError:  # not a number: a string, None
-        in_range = False
-    if not in_range:
-        raise InvalidArgument(f"{who}: tol must lie in (0, 1) (got {tol!r})")
-
-
 def _require_int(x, lo, hi, who, rule):
     """Raise InvalidArgument(f"{who}: {rule} (got {x!r})") unless x is an
     integer, not a bool, in [lo, hi]; hi may be math.inf."""
@@ -123,12 +88,17 @@ def _require_int(x, lo, hi, who, rule):
         raise InvalidArgument(f"{who}: {rule} (got {x!r})")
 
 
+def _is_real(x) -> bool:
+    """x is a real number and not a bool."""
+    # type(x) is float first: the ABC check costs more than the rest together
+    return type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _require_real(x, lo, hi, who, rule, open_below=False):
     """Raise InvalidArgument(f"{who}: {rule} (got {x!r})") unless x is a real
     number, not a bool, in [lo, hi], or in (lo, hi] when open_below; with
     finite bounds, NaN and ±inf never pass."""
-    if not ((type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool))
-            and (lo < x if open_below else lo <= x) and x <= hi):
+    if not (_is_real(x) and (lo < x if open_below else lo <= x) and x <= hi):
         raise InvalidArgument(f"{who}: {rule} (got {x!r})")
 
 

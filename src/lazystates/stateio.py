@@ -18,6 +18,7 @@ from numbers import Real
 import numpy as np
 
 from .fano import FanoParams, compose
+from .matcore import _as_4x4, _require_finite
 
 
 class StateFileError(ValueError):
@@ -87,6 +88,9 @@ def state_to_dict(rho) -> dict:
 
 
 def save_state_file(path, rho) -> None:
+    """Write rho as a matrix state file; rho is checked before the file is opened."""
+    rho = _as_4x4(rho)
+    _require_finite(rho, "save_state_file")
     try:
         with open(path, "w", encoding="utf-8") as fp:
             json.dump(state_to_dict(rho), fp, sort_keys=True, indent=2)

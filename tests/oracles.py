@@ -7,13 +7,7 @@ import numpy as np
 
 from lazystates.fano import FanoParams
 from lazystates.families import check_separable_params
-from lazystates.matcore import (
-    I2,
-    PAULIS,
-    frob_norm,
-    kron,
-    partial_trace_b,
-)
+from lazystates.matcore import I2, PAULIS, kron, partial_trace_b
 
 # σ_i ⊗ I, i = x, y, z: the observables of the first qubit's Bloch vector
 SIGMA_A = np.array([kron(s, I2) for s in PAULIS])
@@ -22,6 +16,42 @@ SIGMA_A = np.array([kron(s, I2) for s in PAULIS])
 TETRA_VERTICES = np.array(
     [[-1.0, -1.0, -1.0], [-1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]]
 )
+
+
+def frob_norm(m) -> float:
+    """Frobenius norm."""
+    return float(np.linalg.norm(np.asarray(m)))
+
+
+def commutator(a, b):
+    """[a, b] = ab - ba."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    return a @ b - b @ a
+
+
+def hermiticity_residual(m) -> float:
+    """Frobenius norm of m - m†."""
+    m = np.asarray(m, dtype=complex)
+    return float(np.linalg.norm(m - m.conj().T))
+
+
+def discord_svd(m):
+    """(sigma_2, n) of the 3x4 matrix m = [x | t], by classify's LAPACK call.
+
+    A 2-qubit state has zero discord with respect to A exactly when m has
+    rank at most one (Dakić, Vedral, Brukner, PRL 105, 190502, 2010), so
+    the witness is sigma_2(m).  The measurement direction of a zero-discord
+    state is the leading left singular vector n of m: the projective pinch
+    along n,
+
+        rho -> (P0@I) rho (P0@I) + (P1@I) rho (P1@I),  P± = (I ± n.s)/2,
+
+    moves rho by exactly 0.5 * hypot(sigma_2, sigma_3) in Frobenius norm
+    (pinch_residual).
+    """
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    return float(s[1]), u[:, 0]
 
 
 def partial_trace_a(m):

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from lazystates.belldiag import bd_census, bd_compose
-from lazystates.classify import _discord_svd, classify
+from lazystates.classify import classify
 from lazystates.families import (
     LazyDiscordantParams,
     SeparableFamilyParams,
@@ -25,6 +25,7 @@ from lazystates.families import (
 from lazystates.fano import decompose
 from oracles import (
     bd_spectrum,
+    discord_svd,
     entropy_rate_reference,
     fresh_coupling,
     lazy_discordant_spectrum,
@@ -90,7 +91,7 @@ def test_criterion_1_route_equivalence():
 def _zero_discord_pinch(rho):
     """Pinch residual along the measurement direction n of [x | T]."""
     p = decompose(rho)
-    _, n = _discord_svd(np.column_stack((p.x, p.t)))
+    _, n = discord_svd(np.column_stack((p.x, p.t)))
     return pinch_residual(rho, n)
 
 

@@ -13,7 +13,6 @@ from lazystates.classify import (
     DEFAULT_TOL as TOL,
     WITNESS_KEYS,
     _commutator_witness,
-    _discord_svd,
     _parallel_residual,
     _ppt,
     _product_residual,
@@ -25,6 +24,7 @@ from lazystates.fano import FanoParams, compose, decompose
 from lazystates.matcore import I2, PAULIS, kron, partial_trace_b, swap_subsystems
 from lazystates.stateio import load_state_file
 from oracles import (
+    discord_svd,
     pinch_residual,
     product_residual_reference,
     purity_reference,
@@ -59,9 +59,9 @@ def witnesses(rho):
     return classify(rho).witnesses
 
 
-def discord_svd(p):
-    """(sigma_2, n) of [x | t] for the parameters p, by classify's kernel."""
-    return _discord_svd(np.column_stack((p.x, p.t)))
+def discord_of(p):
+    """(sigma_2, n) of [x | t] for the parameters p, by classify's LAPACK call."""
+    return discord_svd(np.column_stack((p.x, p.t)))
 
 
 def test_lazy_by_commutator_examples(bell_phi_plus, maximally_mixed):
@@ -141,7 +141,7 @@ def test_route_agreement_does_not_scale_with_tol():
 
 def test_zero_discord_product_state():
     rho = bloch_product([0.2, -0.1, 0.4], [0.0, 0.3, -0.2])
-    sigma_2, n = discord_svd(decompose(rho))
+    sigma_2, n = discord_of(decompose(rho))
     assert sigma_2 <= TOL and witnesses(rho)["sigma_2"] <= TOL
     assert abs(np.linalg.norm(n) - 1.0) <= 1e-12
 
@@ -172,7 +172,7 @@ def test_zero_discord_classical_mixture():
         rho1 = (I2 + sum(b1[i] * PAULIS[i] for i in range(3))) / 2
         rho2 = (I2 + sum(b2[i] * PAULIS[i] for i in range(3))) / 2
         rho = p * kron(up, rho1) + (1 - p) * kron(dn, rho2)
-        sigma_2, n = discord_svd(decompose(rho))
+        sigma_2, n = discord_of(decompose(rho))
         assert sigma_2 <= TOL
         assert abs(abs(n[2]) - 1.0) <= 1e-9
 
@@ -193,7 +193,7 @@ def test_pinch_residual_is_half_the_tail_of_x_beside_t():
     for rho in states:
         p = decompose(rho)
         s = np.linalg.svd(np.column_stack((p.x, p.t)), compute_uv=False)
-        sigma_2, n = discord_svd(p)
+        sigma_2, n = discord_of(p)
         assert sigma_2 <= 2.0
         assert abs(pinch_residual(rho, n) - 0.5 * math.hypot(s[1], s[2])) <= 1e-12
         if sigma_2 <= TOL:
@@ -243,8 +243,38 @@ def test_zero_discord_flips_where_sigma_2_crosses_tol(a, sigma, tol):
         p = FanoParams([a, eps, 0.0], np.zeros(3), np.diag([sigma, 0.0, 0.0]))
         s = np.linalg.svd(np.column_stack((p.x, p.t)), compute_uv=False)
         assert abs(s[1] - s2) <= 1e-6 * s2
-        assert (discord_svd(p)[0] <= tol) is expected
+        assert (discord_of(p)[0] <= tol) is expected
         assert classify(compose(p), tol).zero_discord_a is expected
+
+
+# each verdict at its threshold: true at a tol equal to its witness and false
+# one float below, so a <= that became < (or >= that became >) fails here
+@pytest.mark.parametrize(
+    "verdict,witness",
+    [("lazy_a", "commutator_norm"), ("product", "product_residual"), ("zero_discord_a", "sigma_2")],
+)
+def test_ginibre_verdicts_flip_exactly_at_tol(verdict, witness):
+    rho = ginibre_state(np.random.default_rng(0))
+    tol = classify(rho).witnesses[witness]
+    assert 0.0 < tol < 1.0
+    assert getattr(classify(rho, tol), verdict)
+    assert not getattr(classify(rho, math.nextafter(tol, 0.0)), verdict)
+
+
+@pytest.mark.parametrize("p", [0.6, 0.8])
+def test_werner_separable_and_pure_flip_exactly_at_tol(bell_phi_plus, p):
+    werner = p * bell_phi_plus + (1.0 - p) * np.eye(4) / 4.0
+    w = classify(werner).witnesses
+    tol = -w["min_pt_eigenvalue"]
+    assert 0.0 < tol < 1.0
+    assert classify(werner, tol).separable
+    assert not classify(werner, math.nextafter(tol, 0.0)).separable
+    # pure unless purity < 1 - tol; for purity in [0.5, 1), 1 - (1 - purity)
+    # is purity exactly (Sterbenz), and likewise for the float above it
+    purity = w["purity"]
+    assert 0.5 <= purity < math.nextafter(purity, 2.0) < 1.0
+    assert classify(werner, 1.0 - purity).pure
+    assert not classify(werner, 1.0 - math.nextafter(purity, 2.0)).pure
 
 
 def test_is_product_examples(bell_phi_plus):
@@ -531,7 +561,7 @@ def test_classify_reads_the_bits_of_the_public_predicates():
             expected = {
                 "commutator_norm": _commutator_witness(herm, herm_a),
                 "parallel_residual": _parallel_residual(p.x, p.t),
-                "sigma_2": discord_svd(p)[0],
+                "sigma_2": discord_of(p)[0],
                 "negativity": negativity,
                 "min_pt_eigenvalue": min_pt_eig,
                 "product_residual": cls.witnesses["product_residual"],

@@ -13,8 +13,8 @@ from lazystates.families import (
     separable_compose,
 )
 from lazystates.fano import decompose
-from lazystates.matcore import frob_norm, partial_trace_b
-from oracles import lazy_discordant_spectrum, separable_fano
+from lazystates.matcore import partial_trace_b
+from oracles import frob_norm, lazy_discordant_spectrum, separable_fano
 from sampling import random_separable_params
 
 # expected spectrum of the (0.5, 0.3, 0.4) state: (1 ± sqrt(0.74))/4 and
@@ -131,6 +131,61 @@ def test_separable_compose_always_separable():
 def test_separable_params_rejections(bad):
     with pytest.raises(ValueError):
         separable_compose(bad)
+
+
+# a field that is not a real number, or is a bool, fails the family's own
+# range rule with a plain ValueError, as the CLI's exit 1 needs
+@pytest.mark.parametrize("call", [separable_compose, separable_classify])
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (
+            SeparableFamilyParams("a", 0, 0, 0, 0),
+            "mixing weight p must lie strictly inside (0, 1) (got p=a)",
+        ),
+        (
+            SeparableFamilyParams(0.5, True, 1.0, 0.5, 0.5),
+            "alpha must lie in [0, pi] (got alpha=True)",
+        ),
+        (
+            SeparableFamilyParams(0.5, 1.0, None, 0.5, 0.5),
+            "beta must lie in [0, pi] (got beta=None)",
+        ),
+        (SeparableFamilyParams(0.5, 1.0, 1.0, True, 0.5), "a must lie in [0, 1] (got a=True)"),
+        (SeparableFamilyParams(0.5, 1.0, 1.0, 0.5, "1"), "b must lie in [0, 1] (got b=1)"),
+    ],
+)
+def test_separable_calls_reject_a_field_that_is_not_real(call, bad, message):
+    with pytest.raises(ValueError) as exc:
+        call(bad)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (
+            LazyDiscordantParams("a", 0.1, 0.2),
+            "positivity bound violated: y1^2 + (lambda3 + lambda2)^2 > 1 "
+            "(got y1=a, lambda2=0.1, lambda3=0.2)",
+        ),
+        (
+            LazyDiscordantParams(0.0, True, 0.4),
+            "lazy-discordant family requires 0 < lambda2 (got lambda2=True)",
+        ),
+        (
+            LazyDiscordantParams(0.0, 0.1, None),
+            "lazy-discordant family requires lambda2 < lambda3 strictly "
+            "(got lambda2=0.1, lambda3=None)",
+        ),
+    ],
+)
+def test_lazy_discordant_compose_rejects_a_field_that_is_not_real(bad, message):
+    with pytest.raises(ValueError) as exc:
+        lazy_discordant_compose(bad)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == message
 
 
 def test_separable_fano_frozen_examples():

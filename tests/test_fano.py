@@ -3,22 +3,22 @@ import os
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from lazystates.classify import WITNESS_KEYS, classify
 from lazystates.dynamics import laziness_dynamics_check
-from lazystates.fano import FanoParams, certify, compose, decompose, normal_form
+from lazystates.fano import FanoParams, _gate, certify, compose, decompose, normal_form
 from lazystates.matcore import (
     I2,
     PAULIS,
     InvalidArgument,
     det3,
-    frob_norm,
     kron,
 )
-from oracles import numpy_on_openblas_x86_64
+from oracles import frob_norm, numpy_on_openblas_x86_64
 from runners import run_process
 from sampling import ginibre_state, random_product_state
 
@@ -123,6 +123,49 @@ def test_validate_reports_an_overflowing_state_unphysical(entry):
     assert cls.diagnostics["min_eigenvalue"] == pytest.approx(-entry, rel=1e-12)
 
 
+@pytest.mark.parametrize("lower", [1e200, -1e200])
+def test_hermiticity_rule_rejects_an_overflowing_norm(lower):
+    # Hermitian or not, a norm that overflows to inf would admit any residual
+    m = np.eye(4, dtype=complex) / 4.0
+    m[0, 1], m[1, 0] = 1e200, lower
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = _gate(m, "test", 1e-12)
+    assert g.overflow and not g.hermitian and not g.physical
+
+
+def _trace_off():
+    return np.eye(4, dtype=complex) / 4.0 * 1.001
+
+
+def _negative_eigenvalue():
+    return np.diag([0.501, 0.5, 0.0, -0.001]).astype(complex)
+
+
+def _not_hermitian():
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[0, 1] = 1e-3  # ||rho||_F <= 1, so the residual meets tol unscaled
+    return rho
+
+
+# each of the gate's three rows at its threshold: the state passes at a tol
+# equal to the row's number and fails one float below it
+@pytest.mark.parametrize(
+    "make,row",
+    [
+        (_trace_off, "trace_deviation"),
+        (_negative_eigenvalue, "min_eigenvalue"),
+        (_not_hermitian, "hermiticity_residual"),
+    ],
+)
+def test_each_gate_row_flips_exactly_at_tol(make, row):
+    rho = make()
+    tol = abs(classify(rho).diagnostics[row])
+    assert 0.0 < tol < 1.0
+    assert classify(rho, tol).physical
+    assert not classify(rho, math.nextafter(tol, 0.0)).physical
+
+
 # every public entry that takes a 4x4 state, called as its callers do
 GATED_ENTRIES = {
     "decompose": decompose,
@@ -198,8 +241,11 @@ def _assert_rejected(call, bad):
     assert str(exc.value) == f"classify: tol must lie in (0, 1) (got {bad!r})"
 
 
-# a string or None is refused by the same rule, not by a failed comparison
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, 0.0, "0.1", None])
+# a string, None, a bool or a Decimal is refused by the same rule, not by a
+# failed comparison or a failed product with a norm
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, -1.0, 0.0, "0.1", None, True, Decimal("0.1")]
+)
 def test_library_calls_reject_a_tolerance_that_is_not_finite_and_positive(bell_phi_plus, bad):
     _assert_rejected(lambda: classify(bell_phi_plus, tol=bad), bad)
     _assert_rejected(lambda: classify(np.eye(4) / 4.0, bad), bad)
@@ -223,6 +269,20 @@ def test_fano_params_rejects_non_finite_entries(field, bad):
     with pytest.raises(ValueError) as exc:
         FanoParams(**parts)
     assert str(exc.value) == "FanoParams: input has non-finite entries"
+
+
+def test_the_largest_tolerance_below_one_is_a_tolerance(bell_phi_plus):
+    tol = math.nextafter(1.0, 0.0)
+    assert classify(bell_phi_plus, tol).separable
+    assert not classify(np.zeros((4, 4)), tol).physical
+
+
+@pytest.mark.parametrize("call", [compose, normal_form])
+@pytest.mark.parametrize("bad", [None, np.eye(4) / 4.0, (np.zeros(3), np.zeros(3), np.eye(3))])
+def test_fano_calls_reject_anything_but_fano_params(call, bad):
+    with pytest.raises(InvalidArgument) as exc:
+        call(bad)
+    assert str(exc.value) == f"{call.__name__}: p must be a FanoParams (got {bad!r})"
 
 
 @pytest.mark.parametrize("field", ["x", "y", "t"])
