@@ -11,20 +11,23 @@ and classify passes the state's Hermitian part unchecked to each witness's
 one kernel.  Witnesses with a closed form in the 16 Fano numbers c[i, j] =
 tr(rho s_i@s_j), s_0 = I, are read off them, for any trace and without
 BLAS: purity sum c_ij^2 / 4, the product residual 0.5 * sqrt(sum_ij (c_ij -
-c_i0 c_0j)^2).  Zero discord is the rank of [x | T], read off one LAPACK
-SVD; separability is positivity of the partial transpose, exact for two
-qubits.  classify reports one witness per verdict and alone compares them
-with tol.
+c_i0 c_0j)^2).  The commutator is formed by np.einsum and its norm is an
+einsum sum of squares, so neither calls BLAS.  Zero discord is the rank of
+[x | T], read off one LAPACK SVD; separability is positivity of the partial
+transpose, exact for two qubits, whose spectrum comes from the gate's one
+eigh call.  classify reports one witness per verdict and alone compares
+them with tol.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fano import _coeffs, _gate
-from .matcore import I2, kron, partial_trace_b, partial_transpose_b
+from .matcore import frobenius_norm
 
 DEFAULT_TOL = 1e-9
 
@@ -62,8 +65,12 @@ class Classification:
 
 
 def _commutator_witness(rho, rho_a) -> float:
-    a = kron(rho_a, I2)
-    return float(np.linalg.norm(rho @ a - a @ rho))
+    # ||rho (a@I) - (a@I) rho||_F, each product one einsum over the qubit
+    # indices of r[i, k, j, l] = rho[(i, k), (j, l)]: no kron and no BLAS
+    r = rho.reshape(2, 2, 2, 2)
+    return frobenius_norm(
+        np.einsum("ikml,mj->ikjl", r, rho_a) - np.einsum("im,mkjl->ikjl", rho_a, r)
+    )
 
 
 def _parallel_residual(x, t) -> float:
@@ -80,13 +87,7 @@ def _product_residual(c) -> float:
     # rho - rho_A@rho_B = sum_ij (c_ij - c_i0 c_0j) s_i@s_j / 4, and the 16
     # products s_i@s_j are orthogonal with squared norm 4
     d = c - c[:, :1] * c[:1, :]
-    return 0.5 * float(np.sqrt(np.einsum("ij,ij->", d, d)))
-
-
-def _ppt(herm):
-    # (negativity, min eigenvalue) of the partial transpose, exactly Hermitian as herm is
-    w = np.linalg.eigh(partial_transpose_b(herm))[0]
-    return float(np.abs(w[w < 0.0]).sum()), float(w[0])
+    return 0.5 * math.sqrt(np.einsum("ij,ij->", d, d))
 
 
 def _purity(c) -> float:
@@ -120,7 +121,7 @@ def classify(rho, tol: float = DEFAULT_TOL) -> Classification:
 
     rho = g.herm
     c = _coeffs(rho)
-    rho_a = partial_trace_b(rho)
+    rho_a = np.einsum("ikjk->ij", rho.reshape(2, 2, 2, 2))
     comm_norm = _commutator_witness(rho, rho_a)
     residual = _parallel_residual(c[1:, 0], c[1:, 1:])
     if abs(comm_norm - residual) > _ROUTE_AGREEMENT * max(1.0, comm_norm):
@@ -131,14 +132,21 @@ def classify(rho, tol: float = DEFAULT_TOL) -> Classification:
     # zero discord with respect to A is rank [x | T] <= 1 (Dakić, Vedral, Brukner, PRL 105, 190502)
     sigma_2 = float(np.linalg.svd(c[1:], full_matrices=False)[1][1])
     product_residual = _product_residual(c)
-    negativity, min_pt_eig = _ppt(rho)
+    # the gate's ascending partial-transpose spectrum: negativity sums the
+    # magnitudes of its negative entries left to right, as numpy's sum does
+    # (Python's own sum compensates rounding from 3.12 on)
+    pt = g.pt_spectrum
+    negativity = 0.0
+    for x in pt:
+        if x < 0.0:
+            negativity -= x
     purity = _purity(c)
     witnesses = {
         "commutator_norm": comm_norm,
         "parallel_residual": residual,
         "sigma_2": sigma_2,
         "negativity": negativity,
-        "min_pt_eigenvalue": min_pt_eig,
+        "min_pt_eigenvalue": pt[0],
         "product_residual": product_residual,
         "purity": purity,
     }
@@ -150,7 +158,7 @@ def classify(rho, tol: float = DEFAULT_TOL) -> Classification:
         product=product_residual <= tol,
         zero_discord_a=sigma_2 <= tol,
         lazy_a=lazy_c,
-        separable=min_pt_eig >= -tol,
+        separable=pt[0] >= -tol,
         witnesses=witnesses,
         diagnostics=g.diagnostics,
         lazy_gray_zone=lazy_c != (residual <= tol),

@@ -13,7 +13,9 @@ negative entry when det T < 0; its absolute values are the singular values.
 
 Every 4x4 input that should be a state passes one gate, _gate, once;
 decompose, certify and classify each read their answer off it, and
-normal-form reads both decompose's and certify's off one pass.
+normal-form reads both decompose's and certify's off one pass.  The gate
+makes one eigh call, on its Hermitian part and that part's partial
+transpose stacked, so classify's separability spectrum costs no second call.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .matcore import (
     _require_real,
     det3,
     dot3,
+    frobenius_norm,
     kron,
     svd3,
 )
@@ -85,6 +88,7 @@ class NormalForm:
 class _Gated(NamedTuple):
     rho: np.ndarray  # the input as a complex array
     herm: np.ndarray  # its Hermitian part (rho + rho†)/2
+    pt_spectrum: list  # ascending eigenvalues of herm's partial transpose
     overflow: bool  # ||rho||_F overflows to inf
     hermitian: bool  # the overflow-safe Hermiticity rule at tol
     physical: bool  # hermitian, and the trace and positivity rows pass at tol
@@ -99,29 +103,45 @@ def _gate(rho, who: str, tol: float) -> _Gated:
     1 or more cannot tell a trace of 0 from a trace of 1.  Entries beyond
     about 1e154 overflow ||rho||_F; such a matrix is never Hermitian, and
     herm is then formed from rho * 2^-600, exact for every entry above
-    about 1e-128, which set the minimum eigenvalue.
+    about 1e-128, which set the minimum eigenvalue.  One eigh call solves
+    herm and its partial transpose together, so classify reads the
+    separability spectrum off the gate.
     """
     # (0, 1) is open at both ends: the largest float below 1 bounds it
     _require_real(
         tol, 0.0, math.nextafter(1.0, 0.0), who, "tol must lie in (0, 1)", open_below=True
     )
     rho = _as_4x4(rho)
-    _require_finite(rho, who)
+    rho_h = rho.conj().T
+    # ||rho||_F comes first: a NaN or ±inf entry makes it non-finite, so the
+    # finiteness scan runs only then.  A finite norm bounds each entry by
+    # 1.4e154, so that rho - rho† cannot overflow
+    norm = frobenius_norm(rho)
+    # slot 0 holds herm and slot 1 its partial transpose, for one eigh call
+    stack = np.empty((2, 4, 4), dtype=complex)
+    herm = stack[0]
+    if norm < math.inf:
+        hres, scale = frobenius_norm(rho - rho_h), 1.0
+        np.add(rho, rho_h, out=herm)
+    else:
+        _require_finite(rho, who)
+        with np.errstate(over="ignore"):
+            hres, scale = frobenius_norm(rho - rho_h), 2.0**-600
+        np.add(rho * scale, rho_h * scale, out=herm)
+    herm /= 2.0
     # the Hermiticity rule: ||rho||_F is finite and ||rho - rho†||_F <= tol *
     # max(1, ||rho||_F); a norm that overflows to inf would admit any residual
-    with np.errstate(over="ignore"):
-        hres, norm = float(np.linalg.norm(rho - rho.conj().T)), float(np.linalg.norm(rho))
-    hermitian = norm < np.inf and hres <= tol * max(1.0, norm)
-    scale = 1.0 if norm < np.inf else 2.0**-600
-    m = rho * scale
-    herm = (m + m.conj().T) / 2.0
-    # herm is its own conjugate transpose entry by entry, and finite, as
-    # ||m||_F, rescaled above if it overflowed, keeps each entry below 1e155
-    min_eig = float(np.linalg.eigh(herm)[0][0]) / scale
-    tdev = float(abs(np.trace(rho) - 1.0))
+    hermitian = norm < math.inf and hres <= tol * max(1.0, norm)
+    # herm, and so its partial transpose, is its own conjugate transpose entry
+    # by entry, and finite, as ||rho * scale||_F keeps each entry below 1e155
+    qubits = stack.reshape(2, 2, 2, 2, 2)
+    qubits[1] = qubits[0].transpose(0, 3, 2, 1)
+    w = np.linalg.eigh(stack)[0].tolist()
+    min_eig = w[0][0] / scale
+    tdev = float(abs(rho.trace() - 1.0))
     physical = hermitian and tdev <= tol and min_eig >= -tol
     diagnostics = dict(hermiticity_residual=hres, trace_deviation=tdev, min_eigenvalue=min_eig)
-    return _Gated(rho, herm, scale != 1.0, hermitian, physical, diagnostics)
+    return _Gated(rho, herm, w[1], scale != 1.0, hermitian, physical, diagnostics)
 
 
 def _coeffs(m):

@@ -4,15 +4,17 @@ Everything here works on plain numpy arrays (complex128 for operators,
 float64 for the real 3x3 correlation blocks).  One kernel policy: every
 verdict comes from LAPACK or from a closed form.  Every Hermitian
 eigenproblem goes to LAPACK through numpy's eigh, on a matrix that is finite
-and exactly Hermitian by construction (the state gate's Hermitian part, its
-partial transpose, a seeded coupling), except qubit marginals, whose
-spectrum has a closed form; the zero-discord rank test takes numpy's LAPACK
-SVD.  The one hand-written solver is svd3, a one-sided Jacobi SVD that
-serves only the local normal form: when singular values repeat, the
-singular vectors are not unique, and normal-form output pins the choice.
-svd3 makes that choice in CPython float arithmetic with math.sqrt and
-math.hypot, calling neither BLAS nor LAPACK, so it is the same whichever
-kernel OpenBLAS picks at run time; it raises ValueError on non-finite input.
+and exactly Hermitian by construction (the state gate's Hermitian part and
+its partial transpose, in one stacked call, or a seeded coupling), except
+qubit marginals, whose spectrum has a closed form; the zero-discord rank
+test takes numpy's LAPACK SVD.  frobenius_norm takes a Frobenius norm as
+one einsum sum of squares, with no BLAS call.  The one hand-written solver
+is svd3, a one-sided Jacobi SVD that serves only the local normal form:
+when singular values repeat, the singular vectors are not unique, and
+normal-form output pins the choice.  svd3 makes that choice in CPython
+float arithmetic with math.sqrt and math.hypot, calling neither BLAS nor
+LAPACK, so it is the same whichever kernel OpenBLAS picks at run time; it
+raises ValueError on non-finite input.
 Only the second qubit is traced out here: classify reads purity and the
 product residual off the Fano coefficients instead.  Besides the kernels,
 this module holds the argument rules every entry point shares; the
@@ -46,7 +48,8 @@ def kron(a, b):
 
 
 def _as_4x4(m):
-    m = np.asarray(m, dtype=complex)
+    # C order, so that the 32 reals of the matrix are one contiguous view
+    m = np.asarray(m, dtype=complex, order="C")
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
     return m
@@ -57,16 +60,20 @@ def partial_trace_b(m):
     return np.einsum("ikjk->ij", _as_4x4(m).reshape(2, 2, 2, 2))
 
 
-def partial_transpose_b(m):
-    """Transpose the second-qubit indices; involutive, Hermiticity-preserving."""
-    return _as_4x4(m).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-
-
 def swap_subsystems(m):
     """Exchange the two qubits: out[(k,i),(l,j)] = m[(i,k),(j,l)]."""
     m = _as_4x4(m)
     perm = [0, 2, 1, 3]
     return m[np.ix_(perm, perm)]
+
+
+def frobenius_norm(m) -> float:
+    """||m||_F of a C-contiguous complex array: the square root of one einsum
+    sum of squares over its reals, which calls no BLAS, so the bits do not
+    depend on the kernel OpenBLAS picks at run time.  Non-finite entries
+    give inf or NaN."""
+    r = m.view(float).ravel()
+    return math.sqrt(np.einsum("i,i->", r, r))
 
 
 def _require_finite(m, who):

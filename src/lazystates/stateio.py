@@ -79,7 +79,10 @@ def load_state_file(path) -> np.ndarray:
 
 
 def state_to_dict(rho) -> dict:
-    rho = np.asarray(rho, dtype=complex)
+    """The matrix state-file object of a finite 4x4 rho; any other shape or a
+    non-finite entry raises ValueError."""
+    rho = _as_4x4(rho)
+    _require_finite(rho, "state_to_dict")
     matrix = [
         [[float(rho[i, j].real), float(rho[i, j].imag)] for j in range(4)]
         for i in range(4)
@@ -91,9 +94,10 @@ def save_state_file(path, rho) -> None:
     """Write rho as a matrix state file; rho is checked before the file is opened."""
     rho = _as_4x4(rho)
     _require_finite(rho, "save_state_file")
+    doc = state_to_dict(rho)
     try:
         with open(path, "w", encoding="utf-8") as fp:
-            json.dump(state_to_dict(rho), fp, sort_keys=True, indent=2)
+            json.dump(doc, fp, sort_keys=True, indent=2)
             fp.write("\n")
     except OSError as exc:
         raise StateFileError(f"cannot write state file: {exc}") from exc

@@ -65,6 +65,19 @@ def product_residual_reference(rho):
     return frob_norm(rho - kron(partial_trace_b(rho), partial_trace_a(rho)))
 
 
+def partial_transpose_b(m):
+    """Transpose the second-qubit indices; involutive, Hermiticity-preserving."""
+    return np.asarray(m, dtype=complex).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+
+
+def ppt_reference(herm):
+    """(negativity, min eigenvalue) of the partial transpose of an exactly
+    Hermitian herm, by its own eigh call: the magnitudes of the negative
+    eigenvalues summed by numpy, and the smallest eigenvalue."""
+    w = np.linalg.eigh(partial_transpose_b(herm))[0]
+    return float(np.abs(w[w < 0.0]).sum()), float(w[0])
+
+
 def purity_reference(rho):
     """tr rho^2 as the 4x4 product's trace."""
     return float(np.einsum("ij,ji->", rho, rho).real)

@@ -14,7 +14,6 @@ from lazystates.classify import (
     WITNESS_KEYS,
     _commutator_witness,
     _parallel_residual,
-    _ppt,
     _product_residual,
     _purity,
     classify,
@@ -26,6 +25,7 @@ from lazystates.stateio import load_state_file
 from oracles import (
     discord_svd,
     pinch_residual,
+    ppt_reference,
     product_residual_reference,
     purity_reference,
     schmidt_lazy,
@@ -556,7 +556,7 @@ def test_classify_reads_the_bits_of_the_public_predicates():
             herm = fano.certify(rho, "test")
             herm_a = partial_trace_b(herm)
             p = decompose(herm)
-            negativity, min_pt_eig = _ppt(herm)
+            negativity, min_pt_eig = ppt_reference(herm)
             _assert_closed_forms_match_the_matrix_route(cls, herm)
             expected = {
                 "commutator_norm": _commutator_witness(herm, herm_a),
@@ -599,20 +599,30 @@ def _counted(calls, name, call):
     return counted
 
 
-def test_classify_runs_two_eigensolves_and_one_svd(monkeypatch, bell_phi_plus):
-    # the gate's eigh and the partial transpose's, and the [x | T] SVD
+def test_classify_runs_one_stacked_eigensolve_and_one_svd(monkeypatch, bell_phi_plus):
+    # the gate's one eigh call, on the (2, 4, 4) stack of its Hermitian part
+    # and that part's partial transpose, and the [x | T] SVD
     calls = Counter()
-    for name in ("eigh", "svd"):
-        monkeypatch.setattr(np.linalg, name, _counted(calls, name, getattr(np.linalg, name)))
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recorded(m):
+        shapes.append(m.shape)
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", _counted(calls, "eigh", recorded))
+    monkeypatch.setattr(np.linalg, "svd", _counted(calls, "svd", np.linalg.svd))
     rng = np.random.default_rng(7)
     for rho in (bell_phi_plus, np.eye(4) / 4, ginibre_state(rng), random_product_state(rng)):
         calls.clear()
+        shapes.clear()
         assert classify(rho).physical
-        assert calls == {"eigh": 2, "svd": 1}
+        assert calls == {"eigh": 1, "svd": 1} and shapes == [(2, 4, 4)]
     for rho in (np.diag([1.5, -0.5, 0.0, 0.0]), random_hermitian(rng), np.eye(4)):
         calls.clear()
+        shapes.clear()
         assert not classify(rho).physical
-        assert calls == {"eigh": 1}
+        assert calls == {"eigh": 1} and shapes == [(2, 4, 4)]
 
 
 def test_pure_state_lazy_iff_product_or_maximally_entangled():

@@ -308,8 +308,10 @@ def test_warm_check_eigensolves_no_coupling(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
     monkeypatch.setattr(dynamics, "_coupling", lambda seed: calls.append(seed))
     laziness_dynamics_check(rho, 6, seed=70)
-    # the gate's one eigensolve of the state, and none of a coupling
-    assert len(calls) == 1 and np.array_equal(calls[0], herm)
+    # the gate's one eigensolve, of the stack whose slot 0 is the state's
+    # Hermitian part, and none of a coupling
+    assert len(calls) == 1 and calls[0].shape == (2, 4, 4)
+    assert np.array_equal(calls[0][0], herm)
 
 
 def test_mutating_a_returned_coupling_leaves_the_check_alone():
@@ -391,9 +393,10 @@ def test_entropy_a_matches_the_reference_arithmetic(bell_phi_plus):
 
 # SHA-256 of the 200 states' bytes, the same under every OpenBLAS kernel, and
 # of repr of their reports, recorded under the SkylakeX kernel, as the goldens
-# are: only the reports' rates and commutator norms move with the kernel
+# are: only the reports' rates move with the kernel, as the commutator norm
+# is an einsum sum
 PINNED_STATES_SHA256 = "bb544d46f961b5659a65f03934bbfe90c19858c479e854430c2e387e2751cc06"
-PINNED_REPORTS_SHA256 = "4c04dad375fed1a1f9408dc683eb2b21d88bc03d4981df408be6052b19c8ba2e"
+PINNED_REPORTS_SHA256 = "1739837cfe33704e8f0ea6f4fdd113776820da973259a48c46e14b7fab4d0163"
 
 
 def test_dynamics_reports_are_pinned():
@@ -403,6 +406,52 @@ def test_dynamics_reports_are_pinned():
     assert digest == PINNED_STATES_SHA256
     reports = [laziness_dynamics_check(rho, 20, seed=0, step=1e-4) for rho in states]
     assert hashlib.sha256(repr(reports).encode()).hexdigest() == PINNED_REPORTS_SHA256
+
+
+def _kernel_free_witnesses(states):
+    """SHA-256 of classify's commutator_norm and hermiticity_residual."""
+    rows = []
+    for rho in states:
+        cls = classify(rho)
+        rows.append((cls.witnesses["commutator_norm"], cls.diagnostics["hermiticity_residual"]))
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+_PRESCOTT_WITNESS_CHILD = """
+import sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from test_dynamics import _kernel_free_witnesses
+print(_kernel_free_witnesses(np.load(sys.argv[2])))
+"""
+
+
+@pytest.mark.skipif(
+    not numpy_on_openblas_x86_64(), reason="needs numpy on OpenBLAS, x86-64"
+)
+def test_classify_einsum_witnesses_do_not_depend_on_the_openblas_kernel(tmp_path):
+    # commutator_norm and hermiticity_residual are einsum sums, which call no
+    # BLAS: Prescott's zgemm and ddot round differently from SkylakeX's, so a
+    # matrix product or np.linalg.norm left in either changes the digest.
+    # The corpus: the BLAS-free pinned states, and seeded matrices with an
+    # anti-Hermitian part, inside the gate's 1e-9 (physical) and far outside
+    rng = np.random.default_rng(1601)
+    states = [make(rng) for _ in range(8) for make in PINNED_KINDS.values()]
+    for rho in states[:16]:
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        states += [rho + 1e-11 * (g - g.conj().T), rho + 0.1 * g]
+    corpus = tmp_path / "states.npy"
+    np.save(corpus, np.array(states))
+    result = subprocess.run(
+        [sys.executable, "-c", _PRESCOTT_WITNESS_CHILD,
+         os.path.dirname(os.path.abspath(__file__)), str(corpus)],
+        capture_output=True, text=True, env={**os.environ, "OPENBLAS_CORETYPE": "Prescott"},
+    )
+    assert result.returncode == 0, result.stderr
+    classified = [classify(rho) for rho in states]
+    assert sum(c.physical for c in classified) > len(PINNED_KINDS) * 8
+    assert all(c.diagnostics["hermiticity_residual"] > 0.0 for c in classified[-32:])
+    assert result.stdout.strip() == _kernel_free_witnesses(states)
 
 
 @pytest.mark.parametrize(
@@ -614,16 +663,18 @@ def test_bad_step_on_an_unphysical_state_is_an_invalid_argument(bell_phi_plus):
 
 
 def test_check_eigensolves_only_exactly_hermitian_matrices(monkeypatch, bell_phi_plus):
-    # a cold check eigensolves the gate's Hermitian part once and each
-    # coupling twice (for its norm, then for its propagator), all of them
-    # exactly Hermitian by construction, so no Hermiticity guard is needed
+    # a cold check eigensolves the gate's stack of the Hermitian part and
+    # its partial transpose once and each coupling twice (for its norm, then
+    # for its propagator), every matrix exactly Hermitian by construction,
+    # so no Hermiticity guard is needed
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
     _bloch_map.cache_clear()
     laziness_dynamics_check(bell_phi_plus, 3, seed=7)
     assert len(calls) == 1 + 2 * 3
-    assert all(np.array_equal(m, m.conj().T) for m in calls)
+    assert calls[0].shape == (2, 4, 4)
+    assert all(np.array_equal(m, m.conj().swapaxes(-1, -2)) for m in calls)
 
 
 def test_check_works_on_the_certified_hermitian_part():

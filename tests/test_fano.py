@@ -185,8 +185,12 @@ def _malformed(kind):
     if kind == "3x3":
         return np.eye(3, dtype=complex) / 3.0
     rho = np.eye(4, dtype=complex) / 4.0
-    if kind in ("nan", "inf"):
+    if kind in ("nan", "inf", "-inf"):
         rho[1, 1] = float(kind)
+    elif kind == "1j*inf":
+        # a Hermitian pair: rho - rho† is inf - inf at [0, 1] and [1, 0]
+        rho[0, 1] = complex(0.0, math.inf)
+        rho[1, 0] = rho[0, 1].conjugate()
     elif kind == "1e200":
         rho[0, 1] = rho[1, 0] = 1e200
     elif kind == "anti_hermitian":
@@ -205,7 +209,14 @@ UNPHYSICAL = {
 }
 
 
-@pytest.mark.parametrize("kind", ["3x3", "nan", "inf", "1e200", "anti_hermitian", "trace_1.1"])
+# every non-finite kind makes ||rho||_F non-finite, which sends the gate to
+# its finiteness scan; no RuntimeWarning (an error in this suite) escapes
+NON_FINITE = ("nan", "inf", "-inf", "1j*inf")
+
+
+@pytest.mark.parametrize(
+    "kind", ["3x3", *NON_FINITE, "1e200", "anti_hermitian", "trace_1.1"]
+)
 @pytest.mark.parametrize("entry", list(GATED_ENTRIES) + list(REPLACED_BY_CLASSIFY))
 def test_every_entry_judges_a_malformed_state_by_one_gate(entry, kind):
     rho = _malformed(kind)
@@ -222,7 +233,7 @@ def test_every_entry_judges_a_malformed_state_by_one_gate(entry, kind):
         return
     if kind == "3x3":
         message = "expected a 4x4 matrix, got shape (3, 3)"
-    elif kind in ("nan", "inf"):
+    elif kind in NON_FINITE:
         message = f"{who}: input has non-finite entries"
     elif who == "decompose":
         message = f"decompose: {UNPHYSICAL[kind][2]}"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,13 @@ from lazystates.matcore import (
     SIGMA_Y,
     SIGMA_Z,
     det3,
+    frobenius_norm,
     kron,
     partial_trace_b,
-    partial_transpose_b,
     svd3,
     swap_subsystems,
 )
-from oracles import commutator, frob_norm, partial_trace_a, qubit_spectrum
+from oracles import commutator, frob_norm, partial_trace_a, partial_transpose_b, qubit_spectrum
 from sampling import ginibre_state, random_hermitian
 
 
@@ -149,6 +151,22 @@ def test_commutator_and_norm():
     assert np.allclose(commutator(SIGMA_X, SIGMA_Y), 2j * SIGMA_Z)
     assert frob_norm(np.zeros((4, 4))) == 0.0
     assert abs(frob_norm(np.eye(4)) - 2.0) <= 1e-15
+
+
+def test_frobenius_norm_sums_the_reals_without_a_warning():
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        assert abs(frobenius_norm(m) - frob_norm(m)) <= 1e-15 * frob_norm(m)
+        r = m.reshape(2, 2, 2, 2)
+        assert frobenius_norm(r) == frobenius_norm(m)
+    assert frobenius_norm(np.zeros((4, 4), dtype=complex)) == 0.0
+    # a sum of squares that overflows, or meets NaN, comes back as inf or
+    # NaN, and no RuntimeWarning (an error in this suite) is raised
+    assert frobenius_norm(np.full((4, 4), 1e200, dtype=complex)) == math.inf
+    m = np.eye(4, dtype=complex)
+    m[0, 1] = complex(math.nan, math.inf)
+    assert math.isnan(frobenius_norm(m))
 
 
 # svd3(t) by repr: the sweep and the completion call no BLAS, so these bytes

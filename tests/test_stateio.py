@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lazystates.stateio import load_state_file, save_state_file
+from lazystates.stateio import load_state_file, save_state_file, state_from_dict, state_to_dict
 
 NAN_ENTRY = np.eye(4, dtype=complex) / 4.0
 NAN_ENTRY[2, 3] = complex(np.nan, 0.0)
@@ -28,3 +28,27 @@ def test_a_bad_matrix_leaves_the_state_file_as_it_was(tmp_path, bad, message):
     assert str(exc.value) == message
     assert path.read_bytes() == before
     assert np.array_equal(load_state_file(path), np.eye(4) / 4.0)
+
+
+# state_to_dict applies the same rules, naming itself: a 5x5 matrix used to
+# give its top-left block, a 3x3 one an IndexError, and NaN a NaN entry
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (np.eye(3) / 3.0, "expected a 4x4 matrix, got shape (3, 3)"),
+        (np.eye(5) / 5.0, "expected a 4x4 matrix, got shape (5, 5)"),
+        (NAN_ENTRY, "state_to_dict: input has non-finite entries"),
+    ],
+    ids=["3x3", "5x5", "nan"],
+)
+def test_state_to_dict_rejects_a_bad_matrix(bad, message):
+    with pytest.raises(ValueError) as exc:
+        state_to_dict(bad)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == message
+
+
+def test_state_to_dict_round_trips_a_state():
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[0, 1], rho[1, 0] = 0.1j, -0.1j
+    assert np.array_equal(state_from_dict(state_to_dict(rho)), rho)
