@@ -18,7 +18,7 @@ import numpy as np
 
 from ._version import __version__
 from .fano import FanoParams, compose
-from .matcore import InvalidArgument, _require_int, _require_real
+from .matcore import InvalidArgument, _require_int, _require_real, _require_type
 
 BOUNDARY_TOL = 1e-9
 
@@ -211,6 +211,7 @@ def bd_slice(axis: int, value: float, grid: int) -> SliceGrid:
 
 
 def census_to_csv(report: CensusReport) -> str:
+    _require_type(report, CensusReport, "census_to_csv", "report")
     lines = [
         f"# lazystates-census version={__version__} seed={report.seed} "
         f"samples={report.samples} boundary_hits={report.boundary_hits}",
@@ -230,6 +231,7 @@ def slice_to_csv(sl: SliceGrid) -> str:
     Each row's "i," and ",x_i," and each column's "j" and "y_j," are formatted
     once; a line is five such pieces, and the file is built with one join.
     """
+    _require_type(sl, SliceGrid, "slice_to_csv", "sl")
     g = len(sl.coords)
     # pieces of one grid row: "\ni,", "j", ",x_i,", "y_j,", label per line
     cells = [None] * (5 * g)

@@ -26,10 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fano import _coeffs, _gate
+from .fano import DEFAULT_TOL, _coeffs, _gate
 from .matcore import frobenius_norm
-
-DEFAULT_TOL = 1e-9
 
 # the two laziness routes compute one number along different rounding paths;
 # they differ by ~1e-16 on physical states, whatever the tolerance
@@ -64,13 +62,14 @@ class Classification:
     lazy_gray_zone: bool = False
 
 
-def _commutator_witness(rho, rho_a) -> float:
-    # ||rho (a@I) - (a@I) rho||_F, each product one einsum over the qubit
-    # indices of r[i, k, j, l] = rho[(i, k), (j, l)]: no kron and no BLAS
+def _commutator_witness(rho):
+    """(||[rho, rho_A@I]||_F, rho_A): each product one einsum over the qubit
+    indices of r[i, k, j, l] = rho[(i, k), (j, l)], no kron and no BLAS."""
     r = rho.reshape(2, 2, 2, 2)
+    rho_a = np.einsum("ikjk->ij", r)
     return frobenius_norm(
         np.einsum("ikml,mj->ikjl", r, rho_a) - np.einsum("im,mkjl->ikjl", rho_a, r)
-    )
+    ), rho_a
 
 
 def _parallel_residual(x, t) -> float:
@@ -121,8 +120,7 @@ def classify(rho, tol: float = DEFAULT_TOL) -> Classification:
 
     rho = g.herm
     c = _coeffs(rho)
-    rho_a = np.einsum("ikjk->ij", rho.reshape(2, 2, 2, 2))
-    comm_norm = _commutator_witness(rho, rho_a)
+    comm_norm = _commutator_witness(rho)[0]
     residual = _parallel_residual(c[1:, 0], c[1:, 1:])
     if abs(comm_norm - residual) > _ROUTE_AGREEMENT * max(1.0, comm_norm):
         raise ConsistencyError(

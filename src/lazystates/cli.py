@@ -32,7 +32,7 @@ from .belldiag import (
     census_to_csv,
     slice_to_csv,
 )
-from .classify import DEFAULT_TOL, ConsistencyError, classify
+from .classify import ConsistencyError, classify
 from .dynamics import DEFAULT_STEP, laziness_dynamics_check
 from .families import (
     LazyDiscordantParams,
@@ -40,7 +40,7 @@ from .families import (
     lazy_discordant_compose,
     separable_compose,
 )
-from .fano import STATE_TOL, _certified, _decomposed, _gate, normal_form
+from .fano import DEFAULT_TOL, _certified, _decomposed, _gate, normal_form
 from .matcore import InvalidArgument
 from .stateio import StateFileError, load_state_file, save_state_file, state_to_dict
 
@@ -83,9 +83,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_normal_form(args) -> int:
-    # one gate pass, judged as decompose and then as certify would: an
+    # one gate pass, judged as decompose and then as _certified: an
     # overflowing norm is reported as such, not as unphysical
-    g = _gate(load_state_file(args.state), "decompose", STATE_TOL)
+    g = _gate(load_state_file(args.state), "decompose", DEFAULT_TOL)
     p = _decomposed(g)
     _certified(g, "normal-form")
     fields = {key: value.tolist() for key, value in vars(normal_form(p)).items()}

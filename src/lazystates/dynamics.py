@@ -10,14 +10,14 @@ shows a nonzero rate under them.
 Rates are read in the Heisenberg picture: the first-qubit Bloch vector of
 u rho u†, u = e^{-ih·step}, is x_i = tr(u†(σ_i⊗I)u · rho), and that of
 u† rho u is tr(u(σ_i⊗I)u† · rho), each a real linear functional of the 32
-reals of the certified rho.  The couplings of seeds seed ... seed + k - 1
+reals of the gated rho.  The couplings of seeds seed ... seed + k - 1
 make one read-only real (6k, 32) map, at most _CHUNK = 64 couplings and
 96 KB.  The module's one cache, _bloch_map, keyed by (seed, k, step),
 holds at most two maps, so a repeated check in one process builds,
 eigensolves and exponentiates no coupling again.  A check caches only its
 first map: its later ones would cycle through the two slots and each be
 evicted before its next use.  The check range-checks every argument before
-it certifies the state or caches anything; its couplings have unit
+it gates the state or caches anything; its couplings have unit
 spectral norm, so 0 < step <= 1e-3 keeps step * spectral_norm(h) <= 1e-3
 and the O(step^2) truncation far below the rate thresholds.
 """
@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import DEFAULT_TOL, _commutator_witness
-from .fano import certify
-from .matcore import I2, PAULIS, _require_int, _require_real, kron, partial_trace_b
+from .classify import _commutator_witness
+from .fano import DEFAULT_TOL, PAULI_BASIS, _certified, _gate
+from .matcore import _require_int, _require_real
 
 DEFAULT_STEP = 1e-4
 # the fixed max |rate| thresholds of the check: a lazy state's rates are at
@@ -50,8 +50,8 @@ _ENTROPY_CLAMP = 1e-12
 # couplings per pass: a map of _CHUNK couplings, 1,536 B each, is 96 KB
 _CHUNK = 64
 
-# σ_i ⊗ I, i = x, y, z: the first-qubit Bloch components
-_SIGMA_A = np.array([kron(s, I2) for s in PAULIS])
+# σ_i ⊗ I, i = x, y, z, by a fancy index: the slice [4::4] is not C-contiguous
+_SIGMA_A = PAULI_BASIS[[4, 8, 12]]
 _SIGNS = np.array([-1.0, 1.0])
 
 
@@ -110,7 +110,7 @@ def _bloch_map(seed: int, k: int, step: float):
 
 
 def _entropy_rates(rho, n, seed, step) -> tuple:
-    """Central differences of the marginal entropy of a certified rho under
+    """Central differences of the marginal entropy of a gated rho under
     the couplings of seeds seed ... seed + n - 1, one map of at most _CHUNK
     couplings a pass; only the first map is taken from the cache."""
     v = rho.view(float).ravel()
@@ -158,9 +158,8 @@ def laziness_dynamics_check(
     _require_real(step, 0.0, 1e-3, who, "step must lie in (0, 1e-3]", open_below=True)
     # the check's one physicality gate; the witness and every rate then see
     # the Hermitian part
-    rho = certify(rho, who)
-    rho_a = partial_trace_b(rho)
-    comm = _commutator_witness(rho, rho_a)
+    rho = _certified(_gate(rho, who, DEFAULT_TOL), who)
+    comm, rho_a = _commutator_witness(rho)
     lazy = comm <= DEFAULT_TOL
     rates = _entropy_rates(rho, n_hamiltonians, seed, step)
     max_abs = max(map(abs, rates))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fano import FanoParams, compose
-from .matcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, _is_real, kron
+from .matcore import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, _is_real, _require_type, kron
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,9 @@ class SeparableFamilyParams:
 
 
 def check_lazy_discordant(q: LazyDiscordantParams) -> None:
-    """Raise ValueError naming the violated inequality, if any; a non-real field violates it."""
+    """Raise ValueError naming the violated inequality, if any; a non-real field
+    violates it, and a q of another type is an InvalidArgument."""
+    _require_type(q, LazyDiscordantParams, "lazy_discordant_compose", "q")
     if not (_is_real(q.lambda2) and 0.0 < q.lambda2):
         raise ValueError(
             f"lazy-discordant family requires 0 < lambda2 (got lambda2={q.lambda2})"
@@ -71,8 +73,10 @@ def lazy_discordant_compose(q: LazyDiscordantParams):
     return compose(FanoParams(x=np.zeros(3), y=[q.y1, 0.0, 0.0], t=t))
 
 
-def check_separable_params(s: SeparableFamilyParams) -> None:
-    """Raise ValueError naming the first field out of range or not a real number."""
+def check_separable_params(s: SeparableFamilyParams, who: str) -> None:
+    """Raise ValueError naming the first field out of range or not a real number.
+    An s that is not a SeparableFamilyParams is an InvalidArgument naming `who`."""
+    _require_type(s, SeparableFamilyParams, who, "s")
     if not (_is_real(s.p) and 0.0 < s.p < 1.0):
         raise ValueError(
             f"mixing weight p must lie strictly inside (0, 1) (got p={s.p})"
@@ -93,7 +97,7 @@ def _qubit(bloch):
 
 def separable_compose(s: SeparableFamilyParams):
     """Compose the two-term separable mixture."""
-    check_separable_params(s)
+    check_separable_params(s, "separable_compose")
     psi1 = _qubit((0.0, 0.0, 1.0))
     psi2 = _qubit((math.sin(s.alpha), 0.0, math.cos(s.alpha)))
     rho1 = _qubit((0.0, 0.0, s.a))
@@ -110,7 +114,7 @@ def separable_classify(s: SeparableFamilyParams) -> str:
     (alpha = pi); otherwise the state is not lazy.  Each equality holds
     within 1e-9, absolute.
     """
-    check_separable_params(s)
+    check_separable_params(s, "separable_classify")
     tol = 1e-9
     same_b_state = (
         abs(s.b * math.sin(s.beta)) <= tol and abs(s.a - s.b * math.cos(s.beta)) <= tol

@@ -11,10 +11,10 @@ T can be brought to diagonal form by local unitaries.  Because SO(3) pairs
 can only flip two signs of T at a time, the reachable diagonal d keeps one
 negative entry when det T < 0; its absolute values are the singular values.
 
-Every 4x4 input that should be a state passes one gate, _gate, once;
-decompose, certify and classify each read their answer off it, and
-normal-form reads both decompose's and certify's off one pass.  The gate
-makes one eigh call, on its Hermitian part and that part's partial
+Every 4x4 input that should be a state passes one gate, _gate, once, at
+DEFAULT_TOL unless classify is given a tol; decompose reads _decomposed off
+it, the dynamics check _certified, and normal-form both off one pass.  The
+gate makes one eigh call, on its Hermitian part and that part's partial
 transpose stacked, so classify's separability spectrum costs no second call.
 """
 
@@ -29,10 +29,10 @@ import numpy as np
 from .matcore import (
     I2,
     PAULIS,
-    InvalidArgument,
     _as_4x4,
     _require_finite,
     _require_real,
+    _require_type,
     det3,
     dot3,
     frobenius_norm,
@@ -40,8 +40,8 @@ from .matcore import (
     svd3,
 )
 
-# the state gate's fixed tolerance in decompose and certify
-STATE_TOL = 1e-9
+# the state gate's tolerance: classify's default, and fixed at every other entry
+DEFAULT_TOL = 1e-9
 
 # 16-element tensor basis, index 4*i + j, element 0 the identity
 _P4 = (I2,) + PAULIS
@@ -154,9 +154,9 @@ def _decomposed(g: _Gated) -> FanoParams:
     if g.overflow:
         raise ValueError("decompose: matrix too large, its norm overflows")
     if not g.hermitian:
-        raise ValueError(f"decompose: matrix is not Hermitian within {STATE_TOL:g}")
-    if g.diagnostics["trace_deviation"] > STATE_TOL:
-        raise ValueError(f"decompose: matrix trace deviates from 1 beyond {STATE_TOL:g}")
+        raise ValueError(f"decompose: matrix is not Hermitian within {DEFAULT_TOL:g}")
+    if g.diagnostics["trace_deviation"] > DEFAULT_TOL:
+        raise ValueError(f"decompose: matrix trace deviates from 1 beyond {DEFAULT_TOL:g}")
     c = _coeffs(g.rho)
     return FanoParams(x=c[1:, 0], y=c[0, 1:], t=c[1:, 1:])
 
@@ -165,15 +165,14 @@ def decompose(rho) -> FanoParams:
     """Extract (x, y, T) from a Hermitian unit-trace 4x4 matrix.
 
     x_i = tr(rho s_i@I), y_j = tr(rho I@s_j), T_ij = tr(rho s_i@s_j).
-    Hermiticity and trace are checked at the gate's fixed STATE_TOL.
+    Hermiticity and trace are checked at the gate's fixed DEFAULT_TOL.
     """
-    return _decomposed(_gate(rho, "decompose", STATE_TOL))
+    return _decomposed(_gate(rho, "decompose", DEFAULT_TOL))
 
 
 def compose(p: FanoParams):
-    """Inverse of decompose; positivity is not enforced (certify and classify judge it)."""
-    if not isinstance(p, FanoParams):
-        raise InvalidArgument(f"compose: p must be a FanoParams (got {p!r})")
+    """Inverse of decompose; positivity is not enforced (the state gate judges it)."""
+    _require_type(p, FanoParams, "compose", "p")
     coeffs = np.zeros((4, 4))
     coeffs[0, 0] = 1.0
     coeffs[1:, 0] = p.x
@@ -183,7 +182,7 @@ def compose(p: FanoParams):
 
 
 def _certified(g: _Gated, who: str):
-    """certify's answer from a gate result."""
+    """The Hermitian part of a state the gate passed, else ValueError naming `who`."""
     if not g.physical:
         d = g.diagnostics
         raise ValueError(
@@ -191,15 +190,6 @@ def _certified(g: _Gated, who: str):
             f"trace deviation {d['trace_deviation']:.3e})"
         )
     return g.herm
-
-
-def certify(rho, who: str):
-    """The Hermitian part (rho + rho†)/2 of a state the gate passes at STATE_TOL.
-
-    Raises ValueError naming `who` when rho is unphysical at STATE_TOL.  For
-    an exactly Hermitian rho the result is bit-identical to rho.
-    """
-    return _certified(_gate(rho, who, STATE_TOL), who)
 
 
 def normal_form(p: FanoParams) -> NormalForm:
@@ -215,8 +205,7 @@ def normal_form(p: FanoParams) -> NormalForm:
     every field depends on CPython float arithmetic, math.sqrt and
     math.hypot, and on no BLAS or LAPACK build.
     """
-    if not isinstance(p, FanoParams):
-        raise InvalidArgument(f"normal_form: p must be a FanoParams (got {p!r})")
+    _require_type(p, FanoParams, "normal_form", "p")
     u, s, v = svd3(p.t)
     u2 = np.ascontiguousarray(u[:, ::-1])
     v2 = np.ascontiguousarray(v[:, ::-1])

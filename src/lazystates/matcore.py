@@ -15,11 +15,9 @@ normal-form output pins the choice.  svd3 makes that choice in CPython
 float arithmetic with math.sqrt and math.hypot, calling neither BLAS nor
 LAPACK, so it is the same whichever kernel OpenBLAS picks at run time; it
 raises ValueError on non-finite input.
-Only the second qubit is traced out here: classify reads purity and the
-product residual off the Fano coefficients instead.  Besides the kernels,
-this module holds the argument rules every entry point shares; the
-Hermiticity rule for a state belongs to fano's state gate, with the
-gate's other rows.
+Besides the kernels, this module holds the argument rules every entry
+point shares; the Hermiticity rule for a state belongs to fano's state
+gate, with the gate's other rows.
 """
 
 from __future__ import annotations
@@ -53,18 +51,6 @@ def _as_4x4(m):
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
     return m
-
-
-def partial_trace_b(m):
-    """Trace out the second qubit: out[i,j] = sum_k m[(i,k),(j,k)]."""
-    return np.einsum("ikjk->ij", _as_4x4(m).reshape(2, 2, 2, 2))
-
-
-def swap_subsystems(m):
-    """Exchange the two qubits: out[(k,i),(l,j)] = m[(i,k),(j,l)]."""
-    m = _as_4x4(m)
-    perm = [0, 2, 1, 3]
-    return m[np.ix_(perm, perm)]
 
 
 def frobenius_norm(m) -> float:
@@ -107,6 +93,13 @@ def _require_real(x, lo, hi, who, rule, open_below=False):
     finite bounds, NaN and ±inf never pass."""
     if not (_is_real(x) and (lo < x if open_below else lo <= x) and x <= hi):
         raise InvalidArgument(f"{who}: {rule} (got {x!r})")
+
+
+def _require_type(x, cls, who, name):
+    """Raise InvalidArgument(f"{who}: {name} must be a {cls.__name__} (got {x!r})")
+    unless x is a cls."""
+    if not isinstance(x, cls):
+        raise InvalidArgument(f"{who}: {name} must be a {cls.__name__} (got {x!r})")
 
 
 def dot3(a, b) -> float:

@@ -6,13 +6,16 @@ A state file holds exactly one of two keys:
     {"fano": {"x": [3 reals], "y": [3 reals], "T": [[3x3 reals]]}}
 
 The matrix form is entry-by-entry [re, im] pairs so fixtures stay hand
-auditable.  Unreadable or unwritable files, structural problems and
-non-finite numbers raise StateFileError; physicality is the caller's concern.
+auditable.  A path that is not a str, bytes or os.PathLike (open() would
+take an int as a file descriptor), unreadable or unwritable files,
+structural problems and non-finite numbers raise StateFileError;
+physicality is the caller's concern.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from numbers import Real
 
 import numpy as np
@@ -23,6 +26,12 @@ from .matcore import _as_4x4, _require_finite
 
 class StateFileError(ValueError):
     """The file cannot be read or written, or breaks the state-file schema."""
+
+
+def _require_path(path, action):
+    # open() takes an int, a bool included, as a file descriptor and closes it
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise StateFileError(f"cannot {action} state file: not a path: {path!r}")
 
 
 def _real_array(node, shape, what):
@@ -64,6 +73,7 @@ def state_from_dict(doc) -> np.ndarray:
 
 
 def load_state_file(path) -> np.ndarray:
+    _require_path(path, "read")
     try:
         with open(path, "r", encoding="utf-8") as fp:
             doc = json.load(fp)
@@ -95,6 +105,7 @@ def save_state_file(path, rho) -> None:
     rho = _as_4x4(rho)
     _require_finite(rho, "save_state_file")
     doc = state_to_dict(rho)
+    _require_path(path, "write")
     try:
         with open(path, "w", encoding="utf-8") as fp:
             json.dump(doc, fp, sort_keys=True, indent=2)

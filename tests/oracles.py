@@ -7,7 +7,7 @@ import numpy as np
 
 from lazystates.fano import FanoParams
 from lazystates.families import check_separable_params
-from lazystates.matcore import I2, PAULIS, kron, partial_trace_b
+from lazystates.matcore import I2, PAULIS, kron
 
 # σ_i ⊗ I, i = x, y, z: the observables of the first qubit's Bloch vector
 SIGMA_A = np.array([kron(s, I2) for s in PAULIS])
@@ -57,6 +57,16 @@ def discord_svd(m):
 def partial_trace_a(m):
     """Trace out the first qubit: out[k,l] = sum_i m[(i,k),(i,l)]."""
     return np.einsum("ikil->kl", np.asarray(m).reshape(2, 2, 2, 2))
+
+
+def partial_trace_b(m):
+    """Trace out the second qubit: out[i,j] = sum_k m[(i,k),(j,k)]."""
+    return np.einsum("ikjk->ij", np.asarray(m, dtype=complex).reshape(2, 2, 2, 2))
+
+
+def swap_subsystems(m):
+    """Exchange the two qubits: out[(k,i),(l,j)] = m[(i,k),(j,l)]."""
+    return np.asarray(m, dtype=complex).reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
 
 
 def product_residual_reference(rho):
@@ -122,7 +132,7 @@ def lazy_discordant_spectrum(q):
 def separable_fano(s):
     """Closed-form Pauli parameters of the separable mixture of
     SeparableFamilyParams s (middle column of t is zero)."""
-    check_separable_params(s)
+    check_separable_params(s, "separable_fano")
     p, q = s.p, 1.0 - s.p
     sa, ca = math.sin(s.alpha), math.cos(s.alpha)
     sb, cb = math.sin(s.beta), math.cos(s.beta)

@@ -20,7 +20,7 @@ from lazystates.classify import (
 )
 from lazystates.families import SeparableFamilyParams, separable_classify, separable_compose
 from lazystates.fano import FanoParams, compose, decompose
-from lazystates.matcore import I2, PAULIS, kron, partial_trace_b, swap_subsystems
+from lazystates.matcore import I2, PAULIS, kron
 from lazystates.stateio import load_state_file
 from oracles import (
     discord_svd,
@@ -29,6 +29,7 @@ from oracles import (
     product_residual_reference,
     purity_reference,
     schmidt_lazy,
+    swap_subsystems,
 )
 from sampling import (
     ginibre_state,
@@ -536,7 +537,7 @@ def _assert_closed_forms_match_the_matrix_route(cls, herm):
 
 def test_classify_reads_the_bits_of_the_public_predicates():
     # each witness keeps the bits of the public predicate it replaced, which
-    # applied the same kernel to certify's Hermitian part (sigma_2 to
+    # applied the same kernel to the gate's Hermitian part (sigma_2 to
     # [x | T] laid out by decompose), product_residual and purity are the
     # closed forms in its Fano coefficients, and the diagnostics are the
     # gate's report at its fixed tolerance: on the corpus of
@@ -547,19 +548,18 @@ def test_classify_reads_the_bits_of_the_public_predicates():
         for _ in range(200):
             rho = draw(rng)
             cls = classify(rho)
-            gated = fano._gate(rho, "test", fano.STATE_TOL)
+            gated = fano._gate(rho, "test", fano.DEFAULT_TOL)
             assert _hex(cls.diagnostics) == _hex(gated.diagnostics)
             if not cls.physical:
                 assert cls.witnesses == dict.fromkeys(WITNESS_KEYS)
                 continue
             physical += 1
-            herm = fano.certify(rho, "test")
-            herm_a = partial_trace_b(herm)
+            herm = fano._certified(gated, "test")
             p = decompose(herm)
             negativity, min_pt_eig = ppt_reference(herm)
             _assert_closed_forms_match_the_matrix_route(cls, herm)
             expected = {
-                "commutator_norm": _commutator_witness(herm, herm_a),
+                "commutator_norm": _commutator_witness(herm)[0],
                 "parallel_residual": _parallel_residual(p.x, p.t),
                 "sigma_2": discord_of(p)[0],
                 "negativity": negativity,

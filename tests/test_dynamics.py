@@ -29,8 +29,8 @@ from lazystates.families import (
     lazy_discordant_compose,
     separable_compose,
 )
-from lazystates.fano import certify
-from lazystates.matcore import InvalidArgument, kron, partial_trace_b
+from lazystates.fano import DEFAULT_TOL, _certified, _gate
+from lazystates.matcore import InvalidArgument, kron
 from lazystates.stateio import load_state_file
 from oracles import (
     entropy2_reference,
@@ -41,6 +41,7 @@ from oracles import (
     heisenberg_rows,
     hermiticity_residual,
     numpy_on_openblas_x86_64,
+    partial_trace_b,
 )
 from sampling import (
     ginibre_state,
@@ -125,6 +126,31 @@ def test_entropy_rate_caution_for_pure_marginal():
     ket[0] = 1.0
     report = laziness_dynamics_check(np.outer(ket, ket.conj()), 1, seed=4)
     assert report.caution
+
+
+def _with_mixed_b(rho_a):
+    return kron(np.array(rho_a), np.eye(2) / 2)
+
+
+# diag(p, 1 - p) ⊗ I/2 at adjacent floats p, whose marginal purity p^2 +
+# (1 - p)^2 lies one ulp below and one ulp above 1 - 1e-12, and a marginal
+# [[1/2, c], [c, 1/2]] whose computed purity is 1 - 1e-12 to the bit
+CAUTION_EDGE = {
+    "below": (_with_mixed_b(np.diag([0.9999999999995, 1.0 - 0.9999999999995])), False),
+    "above": (_with_mixed_b(np.diag([0.9999999999995001, 1.0 - 0.9999999999995001])), True),
+    "at": (_with_mixed_b([[0.5, 0.4999999999995], [0.4999999999995, 0.5]]), True),
+}
+
+
+@pytest.mark.parametrize("side", CAUTION_EDGE)
+def test_caution_flips_at_a_marginal_purity_of_one_minus_1e12(side):
+    rho, cautioned = CAUTION_EDGE[side]
+    marginal = partial_trace_b(rho)
+    purity = float(np.einsum("ij,ji->", marginal, marginal).real)
+    assert abs(purity - (1.0 - 1e-12)) <= 2.0**-53
+    assert (purity == 1.0 - 1e-12) == (side == "at")
+    assert (purity >= 1.0 - 1e-12) == cautioned == _caution_reference(rho)
+    assert laziness_dynamics_check(rho, 1).caution == cautioned
 
 
 def test_entropy_rate_step_halving_second_order():
@@ -254,6 +280,11 @@ PINNED_KINDS = dict(
 )
 
 
+def _hermitian_part(rho):
+    """The Hermitian part the dynamics check works on, by its own gate call."""
+    return _certified(_gate(rho, "test", DEFAULT_TOL), "test")
+
+
 def _caution_reference(rho):
     marginal = partial_trace_b(rho)
     return float(np.einsum("ij,ji->", marginal, marginal).real) >= 1.0 - 1e-12
@@ -273,7 +304,7 @@ def assert_near_the_schroedinger_rates(rates, states, seed, step):
     for rho, state_rates in zip(states, rates, strict=True):
         for k, rate in enumerate(state_rates):
             reference = entropy_rate_reference(
-                certify(rho, "test"), fresh_coupling(seed + k), step
+                _hermitian_part(rho), fresh_coupling(seed + k), step
             )
             assert abs(rate - reference) <= 1e-13 / step
 
@@ -302,7 +333,7 @@ def test_cached_couplings_give_the_uncached_rates(seed, n_hamiltonians, step):
 def test_warm_check_eigensolves_no_coupling(monkeypatch):
     rho = ginibre_state(np.random.default_rng(5))
     laziness_dynamics_check(rho, 6, seed=70)
-    herm = certify(rho, "test")
+    herm = _hermitian_part(rho)
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
@@ -383,7 +414,7 @@ def test_entropy_a_matches_the_reference_arithmetic(bell_phi_plus):
     w, v = np.linalg.eigh(fresh_coupling(3))
     u = (v * np.exp(-1j * w * 0.7)) @ v.conj().T
     states += [u @ rho @ u.conj().T for rho in states]
-    marginals = [partial_trace_b(certify(rho, "test")) for rho in states]
+    marginals = [partial_trace_b(_hermitian_part(rho)) for rho in states]
     # the radius the reference reads off the marginal matrix
     radii = [math.hypot((m[0, 0] - m[1, 1]).real, 2.0 * abs(m[0, 1])) for m in marginals]
     assert repr(_entropies(np.array(radii)).tolist()) == repr(
@@ -618,7 +649,7 @@ def test_largest_step_is_accepted(bell_phi_plus):
 
 def test_check_rejects_a_negative_seed_before_judging_the_state(monkeypatch):
     judged = []
-    monkeypatch.setattr(dynamics, "certify", lambda *args: judged.append(args))
+    monkeypatch.setattr(dynamics, "_gate", lambda *args: judged.append(args))
     with pytest.raises(InvalidArgument) as exc:
         laziness_dynamics_check(np.eye(4) / 4, 3, seed=-1)
     assert str(exc.value) == "laziness_dynamics_check: seed must be >= 0 (got -1)"
@@ -641,7 +672,7 @@ BAD_ARGUMENT_TYPES = [
 )
 def test_a_bad_argument_type_is_an_invalid_argument(monkeypatch, kwargs, message):
     judged = []
-    monkeypatch.setattr(dynamics, "certify", lambda *args: judged.append(args))
+    monkeypatch.setattr(dynamics, "_gate", lambda *args: judged.append(args))
     with pytest.raises(InvalidArgument) as exc:
         laziness_dynamics_check(np.eye(4) / 4, **kwargs)
     assert str(exc.value) == f"laziness_dynamics_check: {message}"
@@ -685,12 +716,12 @@ def test_check_works_on_the_certified_hermitian_part():
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     skew = (g - g.conj().T) / 2.0
     perturbed = rho + 2e-12 * skew / frob_norm(skew)
-    herm = certify(perturbed, "test")
+    herm = _hermitian_part(perturbed)
     assert hermiticity_residual(herm) == 0.0
     assert repr(laziness_dynamics_check(perturbed, 20, seed=0)) == repr(
         laziness_dynamics_check(herm, 20, seed=0)
     )
     # exactly Hermitian input is used as it is
     assert repr(laziness_dynamics_check(rho, 20, seed=0)) == repr(
-        laziness_dynamics_check(certify(rho, "test"), 20, seed=0)
+        laziness_dynamics_check(_hermitian_part(rho), 20, seed=0)
     )

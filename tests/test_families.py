@@ -13,8 +13,7 @@ from lazystates.families import (
     separable_compose,
 )
 from lazystates.fano import decompose
-from lazystates.matcore import partial_trace_b
-from oracles import frob_norm, lazy_discordant_spectrum, separable_fano
+from oracles import frob_norm, lazy_discordant_spectrum, partial_trace_b, separable_fano
 from sampling import random_separable_params
 
 # expected spectrum of the (0.5, 0.3, 0.4) state: (1 ± sqrt(0.74))/4 and

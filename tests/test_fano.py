@@ -10,7 +10,15 @@ import pytest
 
 from lazystates.classify import WITNESS_KEYS, classify
 from lazystates.dynamics import laziness_dynamics_check
-from lazystates.fano import FanoParams, _gate, certify, compose, decompose, normal_form
+from lazystates.fano import (
+    DEFAULT_TOL,
+    FanoParams,
+    _certified,
+    _gate,
+    compose,
+    decompose,
+    normal_form,
+)
 from lazystates.matcore import (
     I2,
     PAULIS,
@@ -169,7 +177,8 @@ def test_each_gate_row_flips_exactly_at_tol(make, row):
 # every public entry that takes a 4x4 state, called as its callers do
 GATED_ENTRIES = {
     "decompose": decompose,
-    "certify": lambda rho: certify(rho, "certify"),
+    # the gate read for its Hermitian part, as the normal-form command runs it
+    "certify": lambda rho: _certified(_gate(rho, "certify", DEFAULT_TOL), "certify"),
     "classify": classify,
     "laziness_dynamics_check": lambda rho: laziness_dynamics_check(rho, 2),
 }

@@ -11,11 +11,17 @@ from lazystates.matcore import (
     det3,
     frobenius_norm,
     kron,
-    partial_trace_b,
     svd3,
+)
+from oracles import (
+    commutator,
+    frob_norm,
+    partial_trace_a,
+    partial_trace_b,
+    partial_transpose_b,
+    qubit_spectrum,
     swap_subsystems,
 )
-from oracles import commutator, frob_norm, partial_trace_a, partial_transpose_b, qubit_spectrum
 from sampling import ginibre_state, random_hermitian
 
 

@@ -1,7 +1,15 @@
+import os
+
 import numpy as np
 import pytest
 
-from lazystates.stateio import load_state_file, save_state_file, state_from_dict, state_to_dict
+from lazystates.stateio import (
+    StateFileError,
+    load_state_file,
+    save_state_file,
+    state_from_dict,
+    state_to_dict,
+)
 
 NAN_ENTRY = np.eye(4, dtype=complex) / 4.0
 NAN_ENTRY[2, 3] = complex(np.nan, 0.0)
@@ -52,3 +60,20 @@ def test_state_to_dict_round_trips_a_state():
     rho = np.eye(4, dtype=complex) / 4.0
     rho[0, 1], rho[1, 0] = 0.1j, -0.1j
     assert np.array_equal(state_from_dict(state_to_dict(rho)), rho)
+
+
+@pytest.mark.parametrize("action", ["read", "write"])
+def test_a_file_descriptor_is_not_a_path_and_stays_open(tmp_path, action):
+    # open() would take the int as a file descriptor, read or write through
+    # it and close it: load_state_file(True) closed the process's stdout
+    path = tmp_path / "state.json"
+    save_state_file(path, np.eye(4) / 4.0)
+    with open(path, "r+", encoding="utf-8") as fp:
+        fd = fp.fileno()
+        with pytest.raises(StateFileError) as exc:
+            if action == "read":
+                load_state_file(fd)
+            else:
+                save_state_file(fd, np.eye(4) / 4.0)
+        assert str(exc.value) == f"cannot {action} state file: not a path: {fd!r}"
+        os.fstat(fd)
