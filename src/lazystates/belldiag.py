@@ -18,7 +18,7 @@ import numpy as np
 
 from ._version import __version__
 from .fano import FanoParams, compose
-from .matcore import InvalidArgument, _require_int, _require_real, _require_type
+from .matcore import InvalidArgument, _as_array, _require_int, _require_real, _require_type
 
 BOUNDARY_TOL = 1e-9
 
@@ -62,7 +62,7 @@ class SliceGrid:
 
 def bd_compose(lam):
     """Bell-diagonal state (I@I + sum_i lam_i s_i@s_i) / 4, composed from T = diag(lam)."""
-    t = np.diag(np.asarray(lam, dtype=float).reshape(3))
+    t = np.diag(_as_array(lam, float, "bd_compose", "lam must hold 3 reals", 3))
     return compose(FanoParams(x=np.zeros(3), y=np.zeros(3), t=t))
 
 
@@ -118,7 +118,7 @@ def _label_chunk(lam, tol, codes, boundary):
 
 def bd_region(lam) -> str:
     """Region label of one point of the cube [-1, 1]^3, at BOUNDARY_TOL."""
-    lam = np.asarray(lam, dtype=float).reshape(1, 3)
+    lam = _as_array(lam, float, "bd_region", "lam must hold 3 reals", (1, 3))
     # the negated test rejects NaN as well as points outside the cube
     if not ((-1.0 <= lam) & (lam <= 1.0)).all():
         raise InvalidArgument(f"bd_region: lam must lie in [-1, 1]^3 (got {lam[0].tolist()})")

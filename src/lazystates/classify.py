@@ -6,17 +6,17 @@ Bloch vector x is parallel to every column of the correlation matrix T.
 Both routes measure one number, ||[rho, rho_A @ I]||_F = 0.5 * sqrt(sum_j
 |x cross T[:,j]|^2), from the matrices and from the Bloch parameters; they
 must agree to rounding, which keeps the equivalence under continuous test.
-Physicality is decided once, by fano's state gate at the caller's tol,
-and classify passes the state's Hermitian part unchecked to each witness's
-one kernel.  Witnesses with a closed form in the 16 Fano numbers c[i, j] =
-tr(rho s_i@s_j), s_0 = I, are read off them, for any trace and without
-BLAS: purity sum c_ij^2 / 4, the product residual 0.5 * sqrt(sum_ij (c_ij -
-c_i0 c_0j)^2).  The commutator is formed by np.einsum and its norm is an
-einsum sum of squares, so neither calls BLAS.  Zero discord is the rank of
-[x | T], read off one LAPACK SVD; separability is positivity of the partial
-transpose, exact for two qubits, whose spectrum comes from the gate's one
-eigh call.  classify reports one witness per verdict and alone compares
-them with tol.
+classify checks its tol, reads the state once through fano's state gate,
+decides physicality on the gate's record at that tol, and passes the
+state's Hermitian part unchecked to each witness's one kernel.  Witnesses
+with a closed form in the 16 Fano numbers c[i, j] = tr(rho s_i@s_j), s_0 =
+I, are read off them, for any trace and without BLAS: purity sum c_ij^2 /
+4, the product residual 0.5 * sqrt(sum_ij (c_ij - c_i0 c_0j)^2).  The
+commutator is formed by np.einsum and its norm is an einsum sum of squares,
+so neither calls BLAS.  Zero discord is the rank of [x | T], read off one
+LAPACK SVD; separability is positivity of the partial transpose, exact for
+two qubits, whose spectrum comes from the gate's one eigh call.  classify
+reports one witness per verdict and alone compares them with tol.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fano import DEFAULT_TOL, _coeffs, _gate
-from .matcore import frobenius_norm
+from .fano import DEFAULT_TOL, coeffs, gate
+from .matcore import _require_real
 
 # the two laziness routes compute one number along different rounding paths;
 # they differ by ~1e-16 on physical states, whatever the tolerance
@@ -62,16 +62,6 @@ class Classification:
     lazy_gray_zone: bool = False
 
 
-def _commutator_witness(rho):
-    """(||[rho, rho_A@I]||_F, rho_A): each product one einsum over the qubit
-    indices of r[i, k, j, l] = rho[(i, k), (j, l)], no kron and no BLAS."""
-    r = rho.reshape(2, 2, 2, 2)
-    rho_a = np.einsum("ikjk->ij", r)
-    return frobenius_norm(
-        np.einsum("ikml,mj->ikjl", r, rho_a) - np.einsum("im,mkjl->ikjl", rho_a, r)
-    ), rho_a
-
-
 def _parallel_residual(x, t) -> float:
     # a zero x or a zero column of t contributes nothing: parallelism holds
     # vacuously.  The nine components x cross t[:, j], each formed as
@@ -97,14 +87,15 @@ def _purity(c) -> float:
 def classify(rho, tol: float = DEFAULT_TOL) -> Classification:
     """Every hierarchy verdict of one state, each with its one witness.
 
-    fano's state gate runs once: a tol that is not a number in (0, 1), a
-    shape other than 4x4 or a non-finite entry raises ValueError, and
-    unphysical input yields physical=False with the other verdicts absent
-    and every witness None.  diagnostics holds the gate's report.  Every
-    verdict compares its witness with tol, absolute: lazy_a
-    (commutator_norm, the defining quantity), product (product_residual)
-    and zero_discord_a (sigma_2 of [x | T]) pass at <= tol, separable at
-    min_pt_eigenvalue >= -tol, pure unless purity tr(rho^2) < 1 - tol.
+    A tol that is not a number in (0, 1) raises InvalidArgument before the
+    state is read; fano's state gate then runs once: a shape other than 4x4
+    or a non-finite entry raises ValueError, and unphysical input yields
+    physical=False with the other verdicts absent and every witness None.
+    diagnostics holds the gate's report.  Every verdict compares its
+    witness with tol, absolute: lazy_a (commutator_norm, the defining
+    quantity), product (product_residual) and zero_discord_a (sigma_2 of
+    [x | T]) pass at <= tol, separable at min_pt_eigenvalue >= -tol, pure
+    unless purity tr(rho^2) < 1 - tol.
     negativity sums the magnitudes of the negative partial-transpose
     eigenvalues.
     parallel_residual is the second laziness route: it must agree with
@@ -112,15 +103,18 @@ def classify(rho, tol: float = DEFAULT_TOL) -> Classification:
     lazy_gray_zone flags the rounding case where the two fall on either
     side of tol.
     """
-    g = _gate(rho, "classify", tol)
-    if not g.physical:
+    # (0, 1) is open at both ends: the largest float below 1 bounds it
+    _require_real(
+        tol, 0.0, math.nextafter(1.0, 0.0), "classify", "tol must lie in (0, 1)", open_below=True
+    )
+    g = gate(rho, "classify")
+    if not g.physical(tol):
         return Classification(
             physical=False, witnesses=dict.fromkeys(WITNESS_KEYS), diagnostics=g.diagnostics
         )
 
-    rho = g.herm
-    c = _coeffs(rho)
-    comm_norm = _commutator_witness(rho)[0]
+    c = coeffs(g.herm)
+    comm_norm = g.commutator()[0]
     residual = _parallel_residual(c[1:, 0], c[1:, 1:])
     if abs(comm_norm - residual) > _ROUTE_AGREEMENT * max(1.0, comm_norm):
         raise ConsistencyError(

@@ -40,7 +40,7 @@ from .families import (
     lazy_discordant_compose,
     separable_compose,
 )
-from .fano import DEFAULT_TOL, _certified, _decomposed, _gate, normal_form
+from .fano import DEFAULT_TOL, gate, normal_form
 from .matcore import InvalidArgument
 from .stateio import StateFileError, load_state_file, save_state_file, state_to_dict
 
@@ -83,11 +83,11 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_normal_form(args) -> int:
-    # one gate pass, judged as decompose and then as _certified: an
+    # one gate pass, read as decompose reads it and then as certified: an
     # overflowing norm is reported as such, not as unphysical
-    g = _gate(load_state_file(args.state), "decompose", DEFAULT_TOL)
-    p = _decomposed(g)
-    _certified(g, "normal-form")
+    g = gate(load_state_file(args.state), "decompose")
+    p = g.params()
+    g.certified("normal-form")
     fields = {key: value.tolist() for key, value in vars(normal_form(p)).items()}
     _print_json({**fields, "version": __version__})
     return EXIT_OK

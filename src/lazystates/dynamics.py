@@ -30,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import _commutator_witness
-from .fano import DEFAULT_TOL, PAULI_BASIS, _certified, _gate
+from .fano import DEFAULT_TOL, PAULI_BASIS, gate
 from .matcore import _require_int, _require_real
 
 DEFAULT_STEP = 1e-4
@@ -40,9 +39,9 @@ DEFAULT_STEP = 1e-4
 RATE_TOL_ZERO = 1e-6
 RATE_TOL_NONZERO = 1e-3
 
-# commutator-norm band where the sampled-coupling witness is not trusted to
-# separate lazy from non-lazy; such states are logged instead of failed
-COMM_GRAY_ZONE = (1e-9, 1e-4)
+# commutator-norm band, from the check's lazy threshold up, where the sampled
+# couplings are not trusted to tell lazy from non-lazy; logged, not failed
+COMM_GRAY_ZONE = (DEFAULT_TOL, 1e-4)
 
 # marginal eigenvalues below this contribute nothing to the entropy
 _ENTROPY_CLAMP = 1e-12
@@ -158,8 +157,9 @@ def laziness_dynamics_check(
     _require_real(step, 0.0, 1e-3, who, "step must lie in (0, 1e-3]", open_below=True)
     # the check's one physicality gate; the witness and every rate then see
     # the Hermitian part
-    rho = _certified(_gate(rho, who, DEFAULT_TOL), who)
-    comm, rho_a = _commutator_witness(rho)
+    g = gate(rho, who)
+    rho = g.certified(who)
+    comm, rho_a = g.commutator()
     lazy = comm <= DEFAULT_TOL
     rates = _entropy_rates(rho, n_hamiltonians, seed, step)
     max_abs = max(map(abs, rates))

@@ -11,11 +11,11 @@ T can be brought to diagonal form by local unitaries.  Because SO(3) pairs
 can only flip two signs of T at a time, the reachable diagonal d keeps one
 negative entry when det T < 0; its absolute values are the singular values.
 
-Every 4x4 input that should be a state passes one gate, _gate, once, at
-DEFAULT_TOL unless classify is given a tol; decompose reads _decomposed off
-it, the dynamics check _certified, and normal-form both off one pass.  The
-gate makes one eigh call, on its Hermitian part and that part's partial
-transpose stacked, so classify's separability spectrum costs no second call.
+Every 4x4 input that should be a state passes gate once, which takes no
+tol, and is read only through its record, Gated: by classify at its tol,
+and at DEFAULT_TOL by decompose (params), the dynamics check (certified)
+and normal-form (both).  The gate makes one eigh call, on the Hermitian part
+and its partial transpose stacked, so classify's PPT spectrum is free.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .matcore import (
     I2,
     PAULIS,
     _as_4x4,
+    _as_array,
     _require_finite,
-    _require_real,
     _require_type,
     det3,
     dot3,
@@ -40,7 +40,7 @@ from .matcore import (
     svd3,
 )
 
-# the state gate's tolerance: classify's default, and fixed at every other entry
+# the tolerance at which a state is read: classify's default, and fixed at every other entry
 DEFAULT_TOL = 1e-9
 
 # 16-element tensor basis, index 4*i + j, element 0 the identity
@@ -62,8 +62,9 @@ class FanoParams:
     t: np.ndarray
 
     def __post_init__(self):
-        for name, shape in (("x", 3), ("y", 3), ("t", (3, 3))):
-            value = np.asarray(getattr(self, name), dtype=float).reshape(shape).copy()
+        for name, shape, size in (("x", 3, "3"), ("y", 3, "3"), ("t", (3, 3), "3x3")):
+            rule = f"{name} must hold {size} reals"
+            value = _as_array(getattr(self, name), float, "FanoParams", rule, shape).copy()
             _require_finite(value, "FanoParams")
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -85,33 +86,68 @@ class NormalForm:
     o_b: np.ndarray
 
 
-class _Gated(NamedTuple):
+# one 4x4 input as the state gate read it, and the readings every entry takes
+class Gated(NamedTuple):
     rho: np.ndarray  # the input as a complex array
     herm: np.ndarray  # its Hermitian part (rho + rho†)/2
     pt_spectrum: list  # ascending eigenvalues of herm's partial transpose
-    overflow: bool  # ||rho||_F overflows to inf
-    hermitian: bool  # the overflow-safe Hermiticity rule at tol
-    physical: bool  # hermitian, and the trace and positivity rows pass at tol
+    norm: float  # ||rho||_F, inf when it overflows
     diagnostics: dict  # the three rows' numbers, as classify reports them
 
+    def hermitian(self, tol) -> bool:
+        # the Hermiticity rule: ||rho||_F is finite and ||rho - rho†||_F <= tol *
+        # max(1, ||rho||_F); a norm that overflows to inf would admit any residual
+        norm = self.norm
+        return norm < math.inf and self.diagnostics["hermiticity_residual"] <= tol * max(1.0, norm)
 
-def _gate(rho, who: str, tol: float) -> _Gated:
-    """Judge one 4x4 input; every entry point that takes a state calls this.
+    def physical(self, tol) -> bool:
+        # hermitian, and the trace and positivity rows pass at tol
+        d = self.diagnostics
+        return self.hermitian(tol) and d["trace_deviation"] <= tol and d["min_eigenvalue"] >= -tol
 
-    Raises ValueError, naming `who` unless the shape is wrong, for a tol
-    outside (0, 1), a shape other than 4x4 or a non-finite entry: a tol of
-    1 or more cannot tell a trace of 0 from a trace of 1.  Entries beyond
-    about 1e154 overflow ||rho||_F; such a matrix is never Hermitian, and
-    herm is then formed from rho * 2^-600, exact for every entry above
-    about 1e-128, which set the minimum eigenvalue.  One eigh call solves
-    herm and its partial transpose together, so classify reads the
-    separability spectrum off the gate.
+    def params(self) -> FanoParams:
+        """decompose's answer: the parameters of rho, Hermitian with unit trace at DEFAULT_TOL."""
+        if self.norm == math.inf:
+            raise ValueError("decompose: matrix too large, its norm overflows")
+        if not self.hermitian(DEFAULT_TOL):
+            raise ValueError(f"decompose: matrix is not Hermitian within {DEFAULT_TOL:g}")
+        if self.diagnostics["trace_deviation"] > DEFAULT_TOL:
+            raise ValueError(f"decompose: matrix trace deviates from 1 beyond {DEFAULT_TOL:g}")
+        c = coeffs(self.rho)
+        return FanoParams(x=c[1:, 0], y=c[0, 1:], t=c[1:, 1:])
+
+    def certified(self, who: str):
+        """herm, of a state physical at DEFAULT_TOL, else ValueError naming `who`."""
+        if not self.physical(DEFAULT_TOL):
+            d = self.diagnostics
+            raise ValueError(
+                f"{who}: unphysical state (min eigenvalue {d['min_eigenvalue']:.3e}, "
+                f"trace deviation {d['trace_deviation']:.3e})"
+            )
+        return self.herm
+
+    def commutator(self):
+        """(||[herm, herm_A@I]||_F, herm_A): each product one einsum over the
+        qubit indices of r[i, k, j, l] = herm[(i, k), (j, l)], no kron and no BLAS."""
+        r = self.herm.reshape(2, 2, 2, 2)
+        rho_a = np.einsum("ikjk->ij", r)
+        return frobenius_norm(
+            np.einsum("ikml,mj->ikjl", r, rho_a) - np.einsum("im,mkjl->ikjl", rho_a, r)
+        ), rho_a
+
+
+def gate(rho, who: str) -> Gated:
+    """Read one 4x4 input; every entry point that takes a state calls this once.
+
+    Raises ValueError, naming `who` unless the shape is wrong, for a shape
+    other than 4x4 or a non-finite entry; the readings take a tol, the
+    gate none.  Entries beyond about 1e154 overflow ||rho||_F; such a
+    matrix is never Hermitian, and herm is then formed from rho * 2^-600,
+    exact for every entry above about 1e-128, which set the minimum
+    eigenvalue.  One eigh call solves herm and its partial transpose
+    together, so classify reads the separability spectrum off the gate.
     """
-    # (0, 1) is open at both ends: the largest float below 1 bounds it
-    _require_real(
-        tol, 0.0, math.nextafter(1.0, 0.0), who, "tol must lie in (0, 1)", open_below=True
-    )
-    rho = _as_4x4(rho)
+    rho = _as_4x4(rho, who)
     rho_h = rho.conj().T
     # ||rho||_F comes first: a NaN or ±inf entry makes it non-finite, so the
     # finiteness scan runs only then.  A finite norm bounds each entry by
@@ -129,67 +165,39 @@ def _gate(rho, who: str, tol: float) -> _Gated:
             hres, scale = frobenius_norm(rho - rho_h), 2.0**-600
         np.add(rho * scale, rho_h * scale, out=herm)
     herm /= 2.0
-    # the Hermiticity rule: ||rho||_F is finite and ||rho - rho†||_F <= tol *
-    # max(1, ||rho||_F); a norm that overflows to inf would admit any residual
-    hermitian = norm < math.inf and hres <= tol * max(1.0, norm)
     # herm, and so its partial transpose, is its own conjugate transpose entry
     # by entry, and finite, as ||rho * scale||_F keeps each entry below 1e155
     qubits = stack.reshape(2, 2, 2, 2, 2)
     qubits[1] = qubits[0].transpose(0, 3, 2, 1)
     w = np.linalg.eigh(stack)[0].tolist()
-    min_eig = w[0][0] / scale
     tdev = float(abs(rho.trace() - 1.0))
-    physical = hermitian and tdev <= tol and min_eig >= -tol
-    diagnostics = dict(hermiticity_residual=hres, trace_deviation=tdev, min_eigenvalue=min_eig)
-    return _Gated(rho, herm, w[1], scale != 1.0, hermitian, physical, diagnostics)
+    d = dict(hermiticity_residual=hres, trace_deviation=tdev, min_eigenvalue=w[0][0] / scale)
+    return Gated(rho, herm, w[1], norm, d)
 
 
-def _coeffs(m):
+def coeffs(m):
     """[[tr m, y], [x, T]]: c[i, j] = tr(m s_i@s_j), s_0 = I, for an unchecked m."""
     return np.einsum("kab,ba->k", PAULI_BASIS, m).real.reshape(4, 4)
-
-
-def _decomposed(g: _Gated) -> FanoParams:
-    """decompose's answer from a gate result."""
-    if g.overflow:
-        raise ValueError("decompose: matrix too large, its norm overflows")
-    if not g.hermitian:
-        raise ValueError(f"decompose: matrix is not Hermitian within {DEFAULT_TOL:g}")
-    if g.diagnostics["trace_deviation"] > DEFAULT_TOL:
-        raise ValueError(f"decompose: matrix trace deviates from 1 beyond {DEFAULT_TOL:g}")
-    c = _coeffs(g.rho)
-    return FanoParams(x=c[1:, 0], y=c[0, 1:], t=c[1:, 1:])
 
 
 def decompose(rho) -> FanoParams:
     """Extract (x, y, T) from a Hermitian unit-trace 4x4 matrix.
 
     x_i = tr(rho s_i@I), y_j = tr(rho I@s_j), T_ij = tr(rho s_i@s_j).
-    Hermiticity and trace are checked at the gate's fixed DEFAULT_TOL.
+    Hermiticity and trace are read off the gate's record at DEFAULT_TOL.
     """
-    return _decomposed(_gate(rho, "decompose", DEFAULT_TOL))
+    return gate(rho, "decompose").params()
 
 
 def compose(p: FanoParams):
     """Inverse of decompose; positivity is not enforced (the state gate judges it)."""
     _require_type(p, FanoParams, "compose", "p")
-    coeffs = np.zeros((4, 4))
-    coeffs[0, 0] = 1.0
-    coeffs[1:, 0] = p.x
-    coeffs[0, 1:] = p.y
-    coeffs[1:, 1:] = p.t
-    return np.einsum("k,kab->ab", coeffs.reshape(16), PAULI_BASIS) / 4.0
-
-
-def _certified(g: _Gated, who: str):
-    """The Hermitian part of a state the gate passed, else ValueError naming `who`."""
-    if not g.physical:
-        d = g.diagnostics
-        raise ValueError(
-            f"{who}: unphysical state (min eigenvalue {d['min_eigenvalue']:.3e}, "
-            f"trace deviation {d['trace_deviation']:.3e})"
-        )
-    return g.herm
+    c = np.zeros((4, 4))
+    c[0, 0] = 1.0
+    c[1:, 0] = p.x
+    c[0, 1:] = p.y
+    c[1:, 1:] = p.t
+    return np.einsum("k,kab->ab", c.reshape(16), PAULI_BASIS) / 4.0
 
 
 def normal_form(p: FanoParams) -> NormalForm:

@@ -15,9 +15,9 @@ normal-form output pins the choice.  svd3 makes that choice in CPython
 float arithmetic with math.sqrt and math.hypot, calling neither BLAS nor
 LAPACK, so it is the same whichever kernel OpenBLAS picks at run time; it
 raises ValueError on non-finite input.
-Besides the kernels, this module holds the argument rules every entry
-point shares; the Hermiticity rule for a state belongs to fano's state
-gate, with the gate's other rows.
+Besides the kernels, this module holds the argument and shape rules every
+entry point shares; the Hermiticity rule for a state belongs to the record
+of fano's state gate, with the gate's other rows.
 """
 
 from __future__ import annotations
@@ -45,14 +45,6 @@ def kron(a, b):
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
-def _as_4x4(m):
-    # C order, so that the 32 reals of the matrix are one contiguous view
-    m = np.asarray(m, dtype=complex, order="C")
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    return m
-
-
 def frobenius_norm(m) -> float:
     """||m||_F of a C-contiguous complex array: the square root of one einsum
     sum of squares over its reals, which calls no BLAS, so the bits do not
@@ -70,6 +62,22 @@ def _require_finite(m, who):
 class InvalidArgument(ValueError):
     """An argument outside its range, named as `<function>: <argument> ...`;
     each library entry raises it before it reads a state or starts work."""
+
+
+def _as_array(x, dtype, who, rule, shape=None):
+    """x as a C-ordered dtype array (its reals one contiguous view), or InvalidArgument."""
+    try:
+        m = np.asarray(x, dtype=dtype, order="C")
+        return m if shape is None else m.reshape(shape)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidArgument(f"{who}: {rule} (got {x!r})") from None
+
+
+def _as_4x4(m, who):
+    m = _as_array(m, complex, who, "rho must be a 4x4 complex matrix")
+    if m.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+    return m
 
 
 def _require_int(x, lo, hi, who, rule):

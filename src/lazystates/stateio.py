@@ -91,7 +91,7 @@ def load_state_file(path) -> np.ndarray:
 def state_to_dict(rho) -> dict:
     """The matrix state-file object of a finite 4x4 rho; any other shape or a
     non-finite entry raises ValueError."""
-    rho = _as_4x4(rho)
+    rho = _as_4x4(rho, "state_to_dict")
     _require_finite(rho, "state_to_dict")
     matrix = [
         [[float(rho[i, j].real), float(rho[i, j].imag)] for j in range(4)]
@@ -102,7 +102,7 @@ def state_to_dict(rho) -> dict:
 
 def save_state_file(path, rho) -> None:
     """Write rho as a matrix state file; rho is checked before the file is opened."""
-    rho = _as_4x4(rho)
+    rho = _as_4x4(rho, "save_state_file")
     _require_finite(rho, "save_state_file")
     doc = state_to_dict(rho)
     _require_path(path, "write")

@@ -12,7 +12,6 @@ from lazystates import fano, matcore
 from lazystates.classify import (
     DEFAULT_TOL as TOL,
     WITNESS_KEYS,
-    _commutator_witness,
     _parallel_residual,
     _product_residual,
     _purity,
@@ -528,7 +527,7 @@ def _assert_closed_forms_match_the_matrix_route(cls, herm):
     # product_residual and purity are the closed forms in the Fano
     # coefficients of the Hermitian part, and agree with the 4x4 products
     # they replaced to rounding
-    c = fano._coeffs(herm)
+    c = fano.coeffs(herm)
     assert cls.witnesses["product_residual"].hex() == _product_residual(c).hex()
     assert cls.witnesses["purity"].hex() == _purity(c).hex()
     assert abs(cls.witnesses["product_residual"] - product_residual_reference(herm)) <= 1e-15
@@ -548,18 +547,18 @@ def test_classify_reads_the_bits_of_the_public_predicates():
         for _ in range(200):
             rho = draw(rng)
             cls = classify(rho)
-            gated = fano._gate(rho, "test", fano.DEFAULT_TOL)
+            gated = fano.gate(rho, "test")
             assert _hex(cls.diagnostics) == _hex(gated.diagnostics)
             if not cls.physical:
                 assert cls.witnesses == dict.fromkeys(WITNESS_KEYS)
                 continue
             physical += 1
-            herm = fano._certified(gated, "test")
+            herm = gated.certified("test")
             p = decompose(herm)
             negativity, min_pt_eig = ppt_reference(herm)
             _assert_closed_forms_match_the_matrix_route(cls, herm)
             expected = {
-                "commutator_norm": _commutator_witness(herm)[0],
+                "commutator_norm": gated.commutator()[0],
                 "parallel_residual": _parallel_residual(p.x, p.t),
                 "sigma_2": discord_of(p)[0],
                 "negativity": negativity,
@@ -586,7 +585,7 @@ def test_closed_form_witnesses_keep_a_trace_off_one():
     rho = load_state_file(FIXTURES / "near_physical.json")
     cls = classify(rho, 1e-6)
     assert cls.physical
-    herm = fano._gate(rho, "test", 1e-6).herm
+    herm = fano.gate(rho, "test").herm
     assert abs(np.trace(herm).real - 1.0) > 1e-8
     _assert_closed_forms_match_the_matrix_route(cls, herm)
 

@@ -145,7 +145,7 @@ def test_exit_1_overflowing_entries_one_line(tmp_path, offdiag_10, min_eigenvalu
 
 
 def test_normal_form_runs_one_eigensolve(monkeypatch, capsys):
-    # decompose's checks and _certified's are read off one gate pass
+    # decompose's checks and certified's are read off one gate pass
     from lazystates import cli
 
     calls = []

@@ -29,7 +29,7 @@ from lazystates.families import (
     lazy_discordant_compose,
     separable_compose,
 )
-from lazystates.fano import DEFAULT_TOL, _certified, _gate
+from lazystates.fano import gate
 from lazystates.matcore import InvalidArgument, kron
 from lazystates.stateio import load_state_file
 from oracles import (
@@ -282,7 +282,7 @@ PINNED_KINDS = dict(
 
 def _hermitian_part(rho):
     """The Hermitian part the dynamics check works on, by its own gate call."""
-    return _certified(_gate(rho, "test", DEFAULT_TOL), "test")
+    return gate(rho, "test").certified("test")
 
 
 def _caution_reference(rho):
@@ -649,7 +649,7 @@ def test_largest_step_is_accepted(bell_phi_plus):
 
 def test_check_rejects_a_negative_seed_before_judging_the_state(monkeypatch):
     judged = []
-    monkeypatch.setattr(dynamics, "_gate", lambda *args: judged.append(args))
+    monkeypatch.setattr(dynamics, "gate", lambda *args: judged.append(args))
     with pytest.raises(InvalidArgument) as exc:
         laziness_dynamics_check(np.eye(4) / 4, 3, seed=-1)
     assert str(exc.value) == "laziness_dynamics_check: seed must be >= 0 (got -1)"
@@ -672,7 +672,7 @@ BAD_ARGUMENT_TYPES = [
 )
 def test_a_bad_argument_type_is_an_invalid_argument(monkeypatch, kwargs, message):
     judged = []
-    monkeypatch.setattr(dynamics, "_gate", lambda *args: judged.append(args))
+    monkeypatch.setattr(dynamics, "gate", lambda *args: judged.append(args))
     with pytest.raises(InvalidArgument) as exc:
         laziness_dynamics_check(np.eye(4) / 4, **kwargs)
     assert str(exc.value) == f"laziness_dynamics_check: {message}"

@@ -11,12 +11,10 @@ import pytest
 from lazystates.classify import WITNESS_KEYS, classify
 from lazystates.dynamics import laziness_dynamics_check
 from lazystates.fano import (
-    DEFAULT_TOL,
     FanoParams,
-    _certified,
-    _gate,
     compose,
     decompose,
+    gate,
     normal_form,
 )
 from lazystates.matcore import (
@@ -138,8 +136,8 @@ def test_hermiticity_rule_rejects_an_overflowing_norm(lower):
     m[0, 1], m[1, 0] = 1e200, lower
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        g = _gate(m, "test", 1e-12)
-    assert g.overflow and not g.hermitian and not g.physical
+        g = gate(m, "test")
+    assert g.norm == math.inf and not g.hermitian(1e-12) and not g.physical(1e-12)
 
 
 def _trace_off():
@@ -178,7 +176,7 @@ def test_each_gate_row_flips_exactly_at_tol(make, row):
 GATED_ENTRIES = {
     "decompose": decompose,
     # the gate read for its Hermitian part, as the normal-form command runs it
-    "certify": lambda rho: _certified(_gate(rho, "certify", DEFAULT_TOL), "certify"),
+    "certify": lambda rho: gate(rho, "certify").certified("certify"),
     "classify": classify,
     "laziness_dynamics_check": lambda rho: laziness_dynamics_check(rho, 2),
 }
@@ -269,6 +267,15 @@ def _assert_rejected(call, bad):
 def test_library_calls_reject_a_tolerance_that_is_not_finite_and_positive(bell_phi_plus, bad):
     _assert_rejected(lambda: classify(bell_phi_plus, tol=bad), bad)
     _assert_rejected(lambda: classify(np.eye(4) / 4.0, bad), bad)
+
+
+# classify checks tol before the gate reads the state: a bad tol is
+# reported, not a bad shape, a non-finite entry or a string
+@pytest.mark.parametrize(
+    "rho,bad", [(np.eye(3), 2.0), (np.full((4, 4), math.nan), 0.0), ("a", None)]
+)
+def test_classify_checks_tol_before_it_reads_the_state(rho, bad):
+    _assert_rejected(lambda: classify(rho, bad), bad)
 
 
 @pytest.mark.parametrize("bad", [1.0, 1e300])

@@ -1,5 +1,6 @@
 """Every module-level import in src/ and tests/ is read somewhere in its
-module, and every module-level function in src/ has a reader.
+module, every module-level function in src/ has a reader, and a state
+crosses a module boundary only through fano's public gate and its record.
 
 No linter ships with the project, so this walks the syntax trees with the
 standard library's ast.  Package __init__.py files are skipped: their
@@ -97,3 +98,49 @@ def test_readme_library_tour_runs():
     tour = re.search(r"^## Library tour\n\n```python\n(.*?)^```", readme, re.S | re.M)
     assert tour is not None
     exec(compile(tour.group(1), "README.md (library tour)", "exec"), {})
+
+
+# matcore's argument and shape rules: the one private family that every
+# entry shares
+SHARED_RULES = re.compile(r"_(require|as|is)_\w+")
+# the private state helpers that fano's gate and its record replaced
+RETIRED = ("_gate", "_Gated", "_decomposed", "_certified", "_coeffs", "_commutator_witness")
+
+
+def _sibling_imports(path):
+    """(sibling module, name) for each name a src/ module imports from its
+    own package, at any depth of the module."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").startswith("lazystates")
+        ):
+            module = (node.module or "").removeprefix("lazystates").lstrip(".")
+            for alias in node.names:
+                yield module, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("lazystates."):
+                    yield alias.name.removeprefix("lazystates."), None
+
+
+def test_a_state_crosses_modules_only_through_public_names():
+    paths = sorted((ROOT / "src" / "lazystates").glob("*.py"))
+    private = [
+        f"{path.name}: {module}.{name}"
+        for path in paths
+        for module, name in _sibling_imports(path)
+        if name is not None
+        and name.startswith("_")
+        and not (name.startswith("__") and name.endswith("__"))
+        and not (module == "matcore" and SHARED_RULES.fullmatch(name))
+    ]
+    assert private == []
+    dynamics = ROOT / "src" / "lazystates" / "dynamics.py"
+    assert [m for m, _ in _sibling_imports(dynamics) if m == "classify"] == []
+    retired = [
+        f"{path.name}: {name}"
+        for path in paths
+        for name in RETIRED
+        if re.search(rf"\b{name}\b", path.read_text(encoding="utf-8"))
+    ]
+    assert retired == []
