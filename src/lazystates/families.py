@@ -56,10 +56,11 @@ def check_lazy_discordant(q: LazyDiscordantParams) -> None:
             "lazy-discordant family requires lambda2 < lambda3 strictly "
             f"(got lambda2={q.lambda2}, lambda3={q.lambda3})"
         )
-    s = q.lambda3 + q.lambda2
-    # either term beyond 1 breaks the bound alone, and squaring it may overflow;
-    # the negated test also rejects a NaN y1
-    if not (_is_real(q.y1) and abs(q.y1) <= 1.0 and abs(s) <= 1.0 and q.y1**2 + s**2 <= 1.0):
+    # with 0 < lambda2 < lambda3, y1 or lambda3 beyond 1 breaks the bound
+    # alone, and summing or squaring it may overflow; the negated test also
+    # rejects a NaN y1
+    if not (_is_real(q.y1) and abs(q.y1) <= 1.0 and q.lambda3 <= 1.0
+            and q.y1**2 + (q.lambda3 + q.lambda2) ** 2 <= 1.0):
         raise ValueError(
             "positivity bound violated: y1^2 + (lambda3 + lambda2)^2 > 1 "
             f"(got y1={q.y1}, lambda2={q.lambda2}, lambda3={q.lambda3})"

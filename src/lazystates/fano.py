@@ -14,8 +14,10 @@ negative entry when det T < 0; its absolute values are the singular values.
 Every 4x4 input that should be a state passes gate once, which takes no
 tol, and is read only through its record, Gated: by classify at its tol,
 and at DEFAULT_TOL by decompose (params), the dynamics check (certified)
-and normal-form (both).  The gate makes one eigh call, on the Hermitian part
-and its partial transpose stacked, so classify's PPT spectrum is free.
+and normal-form (both).  The record keeps the input's Hermitian part, not
+the input, so every entry's Fano numbers are coeffs(herm), the same bits.
+The gate makes one eigh call, on the Hermitian part and its partial
+transpose stacked, so classify's PPT spectrum is free.
 """
 
 from __future__ import annotations
@@ -88,8 +90,7 @@ class NormalForm:
 
 # one 4x4 input as the state gate read it, and the readings every entry takes
 class Gated(NamedTuple):
-    rho: np.ndarray  # the input as a complex array
-    herm: np.ndarray  # its Hermitian part (rho + rho†)/2
+    herm: np.ndarray  # the input's Hermitian part (rho + rho†)/2; the record keeps no rho
     pt_spectrum: list  # ascending eigenvalues of herm's partial transpose
     norm: float  # ||rho||_F, inf when it overflows
     diagnostics: dict  # the three rows' numbers, as classify reports them
@@ -106,14 +107,15 @@ class Gated(NamedTuple):
         return self.hermitian(tol) and d["trace_deviation"] <= tol and d["min_eigenvalue"] >= -tol
 
     def params(self) -> FanoParams:
-        """decompose's answer: the parameters of rho, Hermitian with unit trace at DEFAULT_TOL."""
+        """decompose's answer: the parameters of herm, if rho is Hermitian
+        with unit trace at DEFAULT_TOL."""
         if self.norm == math.inf:
             raise ValueError("decompose: matrix too large, its norm overflows")
         if not self.hermitian(DEFAULT_TOL):
             raise ValueError(f"decompose: matrix is not Hermitian within {DEFAULT_TOL:g}")
         if self.diagnostics["trace_deviation"] > DEFAULT_TOL:
             raise ValueError(f"decompose: matrix trace deviates from 1 beyond {DEFAULT_TOL:g}")
-        c = coeffs(self.rho)
+        c = coeffs(self.herm)
         return FanoParams(x=c[1:, 0], y=c[0, 1:], t=c[1:, 1:])
 
     def certified(self, who: str):
@@ -172,7 +174,7 @@ def gate(rho, who: str) -> Gated:
     w = np.linalg.eigh(stack)[0].tolist()
     tdev = float(abs(rho.trace() - 1.0))
     d = dict(hermiticity_residual=hres, trace_deviation=tdev, min_eigenvalue=w[0][0] / scale)
-    return Gated(rho, herm, w[1], norm, d)
+    return Gated(herm, w[1], norm, d)
 
 
 def coeffs(m):
@@ -203,29 +205,23 @@ def compose(p: FanoParams):
 def normal_form(p: FanoParams) -> NormalForm:
     """Diagonalize t by SO(3) rotations and rotate the Bloch vectors along.
 
-    Built on svd3: the descending singular triple is reversed to ascending,
-    then determinant signs are repaired by flipping the first (smallest)
-    column, which moves a sign onto d[0] when det t < 0.  Within a repeated
-    singular value the rotation is a choice: o_a, o_b and the components of
-    x_rot and y_rot in that block follow it, and only their norm within the
-    block does not.
+    Built on svd3: its singular vectors, reversed to ascending, are the rows
+    of o_a and o_b, and a negative determinant is repaired by flipping the
+    first (smallest) row, which moves a sign onto d[0] when det t < 0.
+    Within a repeated singular value the rotation is a choice: o_a, o_b and
+    the components of x_rot and y_rot in that block follow it, and only
+    their norm within the block does not.
     x_rot and y_rot are summed left to right like svd3's dot products, so
     every field depends on CPython float arithmetic, math.sqrt and
     math.hypot, and on no BLAS or LAPACK build.
     """
     _require_type(p, FanoParams, "normal_form", "p")
     u, s, v = svd3(p.t)
-    u2 = np.ascontiguousarray(u[:, ::-1])
-    v2 = np.ascontiguousarray(v[:, ::-1])
-    d = np.ascontiguousarray(s[::-1])
-    if det3(u2) < 0.0:
-        u2[:, 0] *= -1.0
-        d[0] = -d[0]
-    if det3(v2) < 0.0:
-        v2[:, 0] *= -1.0
-        d[0] = -d[0]
-    o_a = u2.T.copy()
-    o_b = v2.T.copy()
+    o_a, o_b, d = u.T[::-1].copy(), v.T[::-1].copy(), s[::-1].copy()
+    for o in (o_a, o_b):
+        if det3(o) < 0.0:
+            o[0] *= -1.0
+            d[0] = -d[0]
     x, y = p.x.tolist(), p.y.tolist()
     return NormalForm(
         x_rot=np.array([dot3(row, x) for row in o_a.tolist()]),

@@ -65,8 +65,11 @@ class InvalidArgument(ValueError):
 
 
 def _as_array(x, dtype, who, rule, shape=None):
-    """x as a C-ordered dtype array (its reals one contiguous view), or InvalidArgument."""
+    """x as a C-ordered dtype array (its reals one contiguous view), or
+    InvalidArgument; a complex x does not convert to floats."""
     try:
+        if dtype is float and np.iscomplexobj(x):
+            raise TypeError  # numpy would drop the imaginary part with a warning
         m = np.asarray(x, dtype=dtype, order="C")
         return m if shape is None else m.reshape(shape)
     except (TypeError, ValueError, OverflowError):

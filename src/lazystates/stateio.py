@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import json
 import os
-from numbers import Real
 
 import numpy as np
 
 from .fano import FanoParams, compose
-from .matcore import _as_4x4, _require_finite
+from .matcore import _as_4x4, _is_real, _require_finite
 
 
 class StateFileError(ValueError):
@@ -39,7 +38,7 @@ def _real_array(node, shape, what):
     if arr.shape != shape:
         raise StateFileError(f"{what} must have shape {shape}, got {arr.shape}")
     flat = arr.reshape(-1)
-    if not all(isinstance(v, Real) and not isinstance(v, bool) for v in flat):
+    if not all(_is_real(v) for v in flat):
         raise StateFileError(f"{what} must contain only real numbers")
     try:
         arr = np.asarray(node, dtype=float)
@@ -88,23 +87,22 @@ def load_state_file(path) -> np.ndarray:
     return state_from_dict(doc)
 
 
+def _matrix_doc(rho, who) -> dict:
+    # the 4x4 and finiteness rules, naming the public call `who`
+    rho = _as_4x4(rho, who)
+    _require_finite(rho, who)
+    return {"matrix": [[[z.real, z.imag] for z in row] for row in rho.tolist()]}
+
+
 def state_to_dict(rho) -> dict:
     """The matrix state-file object of a finite 4x4 rho; any other shape or a
     non-finite entry raises ValueError."""
-    rho = _as_4x4(rho, "state_to_dict")
-    _require_finite(rho, "state_to_dict")
-    matrix = [
-        [[float(rho[i, j].real), float(rho[i, j].imag)] for j in range(4)]
-        for i in range(4)
-    ]
-    return {"matrix": matrix}
+    return _matrix_doc(rho, "state_to_dict")
 
 
 def save_state_file(path, rho) -> None:
     """Write rho as a matrix state file; rho is checked before the file is opened."""
-    rho = _as_4x4(rho, "save_state_file")
-    _require_finite(rho, "save_state_file")
-    doc = state_to_dict(rho)
+    doc = _matrix_doc(rho, "save_state_file")
     _require_path(path, "write")
     try:
         with open(path, "w", encoding="utf-8") as fp:

@@ -577,6 +577,28 @@ def test_classify_reads_the_bits_of_the_public_predicates():
     assert physical == 1800
 
 
+def test_decompose_reads_the_fano_numbers_classify_reads():
+    # the gate admits an anti-Hermitian part up to tol * max(1, ||rho||_F);
+    # decompose and classify both read the Fano numbers of the Hermitian
+    # part, so a sigma_2 is reproduced bit for bit from decompose's [x | T]
+    rng = np.random.default_rng(33)
+    physical = 0
+    for draw in CORPUS_KINDS.values():
+        for _ in range(20):
+            a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            rho = draw(rng) + 1e-11 * (a - a.conj().T)
+            cls = classify(rho)
+            if not cls.physical:
+                continue
+            physical += 1
+            p = decompose(rho)
+            c = fano.coeffs(fano.gate(rho, "test").herm)
+            for got, want in ((p.x, c[1:, 0]), (p.y, c[0, 1:]), (p.t, c[1:, 1:])):
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+            assert cls.witnesses["sigma_2"].hex() == discord_of(p)[0].hex()
+    assert physical == 180
+
+
 def test_closed_form_witnesses_keep_a_trace_off_one():
     # the gate admits |tr rho - 1| <= tol; near_physical.json has trace
     # 1 + 1e-7, so c_00 != 1, and the unit-trace forms (1 + |x|^2 + |y|^2 +

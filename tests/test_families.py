@@ -45,6 +45,8 @@ def test_lazy_discordant_valid_state():
         # squaring these overflows; the bound must still reject them
         (LazyDiscordantParams(0.0, 1.0, 1.3407807929942597e154), "positivity"),
         (LazyDiscordantParams(-1e200, 0.3, 0.4), "positivity"),
+        # and adding this int to a float overflows
+        (LazyDiscordantParams(0.0, 1.0, 10**400), "positivity"),
     ],
 )
 def test_lazy_discordant_rejections(params, fragment):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -383,20 +384,51 @@ def test_laziness_invariant_under_normal_form():
         assert classify(rho).lazy_a == classify(rotated).lazy_a
 
 
-_DIGEST_CHILD = """
-import hashlib, sys
+def _rotation(rng):
+    """The rotation of a random unit quaternion, in CPython float arithmetic
+    and math.sqrt, so its bits follow no BLAS kernel."""
+    w, x, y, z = rng.standard_normal(4).tolist()
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    w, x, y, z = w / n, x / n, y / n, z / n
+    return [
+        [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - z * w), 2.0 * (x * z + y * w)],
+        [2.0 * (x * y + z * w), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - x * w)],
+        [2.0 * (x * z - y * w), 2.0 * (y * z + x * w), 1.0 - 2.0 * (x * x + y * y)],
+    ]
+
+
+def _normal_form_corpus():
+    """192 rows [x, y, t.ravel()]: a pure state's t (a repeated sigma), a
+    product state's (rank 1) and a random one, built without BLAS."""
+    rng = np.random.default_rng(61)
+    rows = []
+    for _ in range(64):
+        qa, qb = _rotation(rng), _rotation(rng)
+        s = rng.uniform(0, 1)
+        a, b = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+        # qa @ diag(1, s, -s) @ qb.T, summed left to right
+        pure = [[p[0] * q[0] + s * p[1] * q[1] - s * p[2] * q[2] for q in qb] for p in qa]
+        for t in (np.array(pure), np.outer(a, b), rng.uniform(-1, 1, (3, 3))):
+            rows.append(np.concatenate([a, b, t.ravel()]))
+    return np.array(rows)
+
+
+_DIGEST = """
+import hashlib
 import numpy as np
 from lazystates.fano import FanoParams, normal_form
 from lazystates.matcore import svd3
-h = hashlib.sha256()
-for r in np.load(sys.argv[1]):
-    p = FanoParams(r[:3], r[3:6], r[6:])
-    h.update(repr([a.tolist() for a in svd3(p.t)]).encode())
-    nf = normal_form(p)
-    h.update(repr([nf.x_rot.tolist(), nf.y_rot.tolist(), nf.d.tolist(),
-                   nf.o_a.tolist(), nf.o_b.tolist()]).encode())
-print(h.hexdigest())
+def digest(rows):
+    h = hashlib.sha256()
+    for r in rows:
+        p = FanoParams(r[:3], r[3:6], r[6:])
+        h.update(repr([a.tolist() for a in svd3(p.t)]).encode())
+        nf = normal_form(p)
+        h.update(repr([nf.x_rot.tolist(), nf.y_rot.tolist(), nf.d.tolist(),
+                       nf.o_a.tolist(), nf.o_b.tolist()]).encode())
+    return h.hexdigest()
 """
+_DIGEST_CHILD = _DIGEST + "import sys\nprint(digest(np.load(sys.argv[1])))\n"
 
 
 @pytest.mark.skipif(
@@ -406,21 +438,8 @@ def test_normal_form_bytes_do_not_depend_on_the_openblas_kernel(tmp_path):
     # OpenBLAS picks its kernel at run time; Prescott's ddot and dgemv round
     # differently from the newer kernels, so any BLAS call left in svd3 or
     # normal_form changes the digest
-    rng = np.random.default_rng(61)
-    rows = []
-    for _ in range(64):
-        qa, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        qb, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        s = rng.uniform(0, 1)
-        a, b = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
-        for t in (
-            qa @ np.diag([1.0, s, -s]) @ qb.T,  # pure state: repeated sigma
-            np.outer(a, b),  # product state: rank 1
-            rng.uniform(-1, 1, (3, 3)),
-        ):
-            rows.append(np.concatenate([a, b, t.ravel()]))
     inputs = tmp_path / "fano.npy"
-    np.save(inputs, np.array(rows))
+    np.save(inputs, _normal_form_corpus())
 
     def digest(**env):
         child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
@@ -432,6 +451,20 @@ def test_normal_form_bytes_do_not_depend_on_the_openblas_kernel(tmp_path):
         return result.stdout
 
     assert digest(OPENBLAS_CORETYPE="Prescott") == digest()
+
+
+# SHA-256 of the corpus's bytes and of its svd3 and normal_form reprs; neither
+# calls BLAS, so both hold on every machine
+NORMAL_FORM_CORPUS_SHA256 = "4c75c68a1d3e290cc3ddba77c6365aa9c5178ae476dd16dd8e963d2f51b540fc"
+NORMAL_FORM_SHA256 = "59848fa62da50ed438515a130c57f71618536d8494f6ddcf151a7629332970f7"
+
+
+def test_normal_form_bytes_are_pinned():
+    rows = _normal_form_corpus()
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == NORMAL_FORM_CORPUS_SHA256
+    namespace = {}
+    exec(_DIGEST, namespace)
+    assert namespace["digest"](rows) == NORMAL_FORM_SHA256
 
 
 @pytest.mark.skipif(
