@@ -65,11 +65,14 @@ class InvalidArgument(ValueError):
 
 
 def _as_array(x, dtype, who, rule, shape=None):
-    """x as a C-ordered dtype array (its reals one contiguous view), or
-    InvalidArgument; a complex x does not convert to floats."""
+    """x as a C-ordered dtype array (its reals one contiguous view), or InvalidArgument."""
     try:
-        if dtype is float and np.iscomplexobj(x):
-            raise TypeError  # numpy would drop the imaginary part with a warning
+        # numpy would parse a string, read a bool as 0 or 1 and drop an imaginary
+        # part with a warning; a numeric ndarray is judged by its dtype alone
+        numeric = isinstance(x, np.ndarray) and x.dtype.kind != "O"
+        for v in (x,) if numeric else np.asarray(x, dtype=object).flat:
+            if np.asarray(v).dtype.kind in ("bSUc" if dtype is float else "bSU"):
+                raise TypeError
         m = np.asarray(x, dtype=dtype, order="C")
         return m if shape is None else m.reshape(shape)
     except (TypeError, ValueError, OverflowError):

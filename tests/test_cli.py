@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lazystates
 from runners import run_cli, run_process
 
 HERE = Path(__file__).parent
@@ -80,7 +82,7 @@ def test_classify_verdicts_bell():
     assert doc["zero_discord_a"] is False
     assert doc["separable"] is False
     assert doc["witnesses"]["negativity"] > 0.49
-    assert doc["version"] == "0.1.0"
+    assert doc["version"] == lazystates.__version__
 
 
 def test_classify_fano_form_matches_matrix_form():
@@ -232,10 +234,26 @@ def test_exit_141_when_stdout_is_closed(args):
 
 def test_help_and_version_on_an_open_stdout():
     result = run_cli("--version")
-    assert (result.returncode, result.stdout, result.stderr) == (0, "0.1.0\n", "")
+    version = f"{lazystates.__version__}\n"
+    assert (result.returncode, result.stdout, result.stderr) == (0, version, "")
     result = run_cli("--help")
     assert result.returncode == 0 and result.stderr == ""
     assert result.stdout.startswith("usage: lazystates [-h] [--version]")
+
+
+def test_pyproject_reads_the_version_and_installs_cli_main():
+    # read as text: Python 3.10 has no tomllib
+    text = (HERE.parent / "pyproject.toml").read_text()
+    tables = dict(re.findall(r"^\[([\w.]+)\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S))
+    # the version is written once, in _version.py
+    assert f'"{lazystates.__version__}"' not in text
+    assert not re.search(r"^version\s*=", tables["project"], re.M)
+    assert 'dynamic = ["version"]' in tables["project"].splitlines()
+    dynamic = tables["tool.setuptools.dynamic"].splitlines()
+    assert 'version = {attr = "lazystates._version.__version__"}' in dynamic
+    # the console script, which CI runs once installed
+    scripts = re.findall(r"^(\S+) = \"(.*)\"$", tables["project.scripts"], re.M)
+    assert scripts == [("lazystates", "lazystates.cli:main")]
 
 
 def test_exit_2_parse_errors(tmp_path):
@@ -295,6 +313,7 @@ def test_exit_2_usage_errors():
         assert "bd_region" in run_cli("bd", "classify", "--lambda", lam).stderr
     bell = str(FIXTURES / "bell.json")
     assert _usage_error("dynamics-check", bell, "--step", "0.01") == 2
+    assert "laziness_dynamics_check" in run_cli("dynamics-check", bell, "--step", "0.01").stderr
     assert _usage_error("dynamics-check", bell, "--hamiltonians", "0") == 2
     assert _usage_error("dynamics-check", bell, "--seed", "-1") == 2
     # the step is checked before the state is judged: exit 2, not 1
@@ -302,6 +321,10 @@ def test_exit_2_usage_errors():
     # a tolerance of 1 or more cannot tell a trace of 0 from one of 1
     for bad in ("nan", "-1", "0", "inf", "1", "1e300"):
         assert _usage_error("classify", bell, "--tol", bad) == 2
+    # classify's own rule, as the library raises it
+    result = run_cli("classify", bell, "--tol", "2")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: classify: tol must lie in (0, 1) (got 2.0)\n"
     # the fixed thresholds take no flag: argparse names each removed one
     for argv in (
         ("bd", "classify", "--lambda", "0,0,0", "--tol", "1e-9"),
@@ -418,6 +441,7 @@ def test_exit_3_dynamics_inconsistency():
     doc = json.loads(result.stdout)
     assert doc["consistent"] is False and doc["gray_zone"] is False
     assert "inconsistent" in result.stderr
+    assert len(result.stderr.splitlines()) == 1, result.stderr
 
 
 def test_dynamics_check_consistent_for_nonlazy_witness():
@@ -451,6 +475,8 @@ def test_family_roundtrip_through_classify(tmp_path):
         "--out", str(out),
     )
     assert result.returncode == 0 and out.exists()
+    # save_state_file writes the bytes the command prints to stdout
+    assert out.read_bytes() == (GOLDEN / "family_lazy_discordant.txt").read_bytes()
     doc = json.loads(run_cli("classify", str(out)).stdout)
     assert doc["lazy_a"] is True and doc["zero_discord_a"] is False
 
@@ -477,7 +503,8 @@ def test_census_header_carries_provenance():
     result = run_cli("bd", "census", "--samples", "1000", "--seed", "5")
     header = result.stdout.splitlines()[0]
     assert header.startswith("#")
-    assert "seed=5" in header and "samples=1000" in header and "version=0.1.0" in header
+    assert "seed=5" in header and "samples=1000" in header
+    assert f"version={lazystates.__version__}" in header
     assert result.stdout.splitlines()[1] == "label,count,fraction,stderr"
 
 

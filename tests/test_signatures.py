@@ -103,6 +103,25 @@ WRONG_TRIPLES = WRONG_ARRAYS + ([0.5] * 9, np.full(3, 0.5j))
 # a 4x4 argument that converts to an array of the wrong shape keeps the
 # shape rule's own message, "expected a 4x4 matrix, got shape ()" for None
 WRONG_MATRICES = ("a", 10**400)
+# numpy would parse a string and read a bool as 0 or 1, as an element of a
+# list or as an array's dtype; no scalar argument and no state file takes either
+STRING_OR_BOOL_TRIPLES = (
+    ["0.5", "0", "0"],
+    [b"0.5", 0.0, 0.0],
+    [True, False, False],
+    [True, 0.5, 0.0],
+    [np.bool_(True), 0.5, 0.0],
+    [np.array("0.5"), 0.0, 0.0],
+    np.array(["0.5", "0", "0"]),
+    np.array([True, False, False]),
+)
+STRING_OR_BOOL_3X3 = ([["0.5"] * 3] * 3, [[True, 0.5, 0.0]] * 3, np.eye(3, dtype=bool))
+STRING_OR_BOOL_MATRICES = (
+    [["0.25"] * 4] * 4,
+    np.full((4, 4), "0.25"),
+    [[True, 0.25, 0.0, 0.0]] * 4,
+    np.eye(4, dtype=bool),
+)
 
 # each names its call; a family check raises for the entry that called it
 NAMED_WRONG_TYPES = [
@@ -174,10 +193,26 @@ NAMED_WRONG_TYPES = [
 ]
 
 
+# each array argument again, with string and bool elements
+STRING_OR_BOOL_ROWS = [
+    (
+        fn,
+        kind,
+        prefix,
+        STRING_OR_BOOL_3X3 if fn is fano_params_t
+        else STRING_OR_BOOL_MATRICES if values is WRONG_MATRICES
+        else STRING_OR_BOOL_TRIPLES,
+    )
+    for fn, kind, prefix, values in NAMED_WRONG_TYPES
+    if values is not WRONG_TYPES
+]
+
+
 @pytest.mark.parametrize(
     "fn,kind,prefix,values",
-    NAMED_WRONG_TYPES,
-    ids=[row[0].__name__ for row in NAMED_WRONG_TYPES],
+    NAMED_WRONG_TYPES + STRING_OR_BOOL_ROWS,
+    ids=[row[0].__name__ for row in NAMED_WRONG_TYPES]
+    + [f"{row[0].__name__}-string_or_bool" for row in STRING_OR_BOOL_ROWS],
 )
 def test_a_wrong_argument_type_names_the_call(tmp_path, monkeypatch, fn, kind, prefix, values):
     monkeypatch.chdir(tmp_path)
